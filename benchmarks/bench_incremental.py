@@ -55,7 +55,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.anneal import FloorplanObjective  # noqa: E402
 from repro.anneal.schedule import GeometricSchedule  # noqa: E402
-from repro.backend import make_backend  # noqa: E402
 from repro.congestion import IrregularGridModel  # noqa: E402
 from repro.engine import AnnealEngine  # noqa: E402
 from repro.ioutil import atomic_write_json  # noqa: E402
@@ -63,7 +62,7 @@ from repro.netlist import random_circuit  # noqa: E402
 
 
 def _objective(netlist, grid_size: float, fast: bool, strict: bool = False,
-               backend=None, use_ledger: bool = True):
+               use_ledger: bool = True):
     return FloorplanObjective(
         netlist,
         alpha=1.0,
@@ -74,18 +73,17 @@ def _objective(netlist, grid_size: float, fast: bool, strict: bool = False,
         ),
         incremental=fast,
         strict_incremental=strict,
-        backend=backend,
     )
 
 
 def _run(netlist, grid_size, fast, moves_per_temperature, schedule, seed,
-         strict=False, backend=None, observer=None, use_ledger=True):
+         strict=False, observer=None, use_ledger=True):
     # Each run builds a fresh objective, whose engine-scoped CacheContext
     # starts empty -- no global cache state survives between runs.
     engine = AnnealEngine(
         netlist,
         objective=_objective(
-            netlist, grid_size, fast, strict, backend, use_ledger
+            netlist, grid_size, fast, strict, use_ledger
         ),
         seed=seed,
         moves_per_temperature=moves_per_temperature,
@@ -97,18 +95,13 @@ def _run(netlist, grid_size, fast, moves_per_temperature, schedule, seed,
     return result, wall
 
 
-def bench_workload(name, n_modules, n_nets, smoke, seed=7, backend=None):
+def bench_workload(name, n_modules, n_nets, smoke, seed=7):
     netlist = random_circuit(n_modules, n_nets, seed=seed)
     grid_size = max(math.sqrt(netlist.total_module_area) / 30.0, 1e-6)
     moves = 3 * n_modules if smoke else 10 * n_modules
     schedule = GeometricSchedule(
         cooling_rate=0.85, freeze_ratio=(1e-2 if smoke else 1e-4)
     )
-
-    # Resolve the fast-side backend once (JIT warm-up and, when numba
-    # is requested but missing, the fallback warning happen here); the
-    # seed side always runs the reference numpy path.
-    resolved = make_backend(backend)
 
     seed_result, seed_wall = _run(
         netlist, grid_size, fast=False,
@@ -117,12 +110,11 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7, backend=None):
     fast_result, fast_wall = _run(
         netlist, grid_size, fast=True,
         moves_per_temperature=moves, schedule=schedule, seed=seed,
-        backend=resolved,
     )
     noledger_result, noledger_wall = _run(
         netlist, grid_size, fast=True,
         moves_per_temperature=moves, schedule=schedule, seed=seed,
-        backend=resolved, use_ledger=False,
+        use_ledger=False,
     )
     stats = fast_result.cache_stats
 
@@ -174,7 +166,7 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7, backend=None):
         obs_result, obs_wall = _run(
             netlist, grid_size, fast=True,
             moves_per_temperature=moves, schedule=schedule, seed=seed,
-            backend=resolved, observer=observer,
+            observer=observer,
         )
         observer.finalize()
     obs_identical = (
@@ -210,8 +202,6 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7, backend=None):
         "name": name,
         "modules": n_modules,
         "nets": n_nets,
-        "backend_requested": resolved.requested,
-        "backend_used": resolved.name,
         "moves": fast_result.n_moves,
         "evaluations": evals_fast,
         "seed_wall_seconds": round(seed_wall, 3),
@@ -239,7 +229,7 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7, backend=None):
         "obs_walk_identical": obs_identical,
     }
     print(
-        f"{name} [{row['backend_used']}]: "
+        f"{name}: "
         f"seed {row['seed_moves_per_sec']:.1f} moves/s, "
         f"fast {row['fast_moves_per_sec']:.1f} moves/s "
         f"(no ledger {row['noledger_moves_per_sec']:.1f}), "
@@ -272,27 +262,17 @@ def main(argv=None) -> int:
         help="output JSON path (default: BENCH_incremental.json in the "
         "repository root; smoke mode defaults to not writing)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba", "python"),
-        default="numpy",
-        help="kernel backend for the fast-side runs (the seed side always "
-        "uses the reference numpy path); 'numba' falls back to numpy "
-        "with a warning when numba is not installed",
-    )
     args = parser.parse_args(argv)
 
     workloads = [("ami33-scale", 33, 120), ("ami49-scale", 49, 200)]
     rows = [
-        bench_workload(name, m, n, smoke=args.smoke, backend=args.backend)
+        bench_workload(name, m, n, smoke=args.smoke)
         for name, m, n in workloads
     ]
 
     payload = {
         "benchmark": "incremental annealing evaluation",
         "smoke": args.smoke,
-        "backend_requested": rows[0]["backend_requested"],
-        "backend_used": rows[0]["backend_used"],
         "workloads": rows,
         "min_speedup": min(r["speedup"] for r in rows),
         "strict_ok": all(r["strict_ok"] for r in rows),

@@ -59,12 +59,7 @@ from repro.netlist import (
     random_circuit,
 )
 from repro.pins import PinAssignment, assign_pins
-from repro.anneal import (
-    AnnealResult,
-    FloorplanAnnealer,
-    FloorplanObjective,
-    GeometricSchedule,
-)
+from repro.anneal import FloorplanObjective, GeometricSchedule
 from repro.engine import (
     AnnealEngine,
     CacheContext,
@@ -134,8 +129,6 @@ __all__ = [
     "PinAssignment",
     "assign_pins",
     # annealing
-    "AnnealResult",
-    "FloorplanAnnealer",
     "FloorplanObjective",
     "GeometricSchedule",
     # engine

@@ -8,9 +8,8 @@
 * :mod:`repro.anneal.cost` -- the normalized multi-objective cost
   ``alpha*Area + beta*Wirelength + gamma*Congestion``, a facade over
   the pipeline;
-* :mod:`repro.anneal.annealer` -- the annealer over normalized Polish
-  expressions, with per-temperature snapshots (Experiment 2 extracts
-  them) and acceptance statistics.
+* :mod:`repro.anneal.generic` -- the representation-agnostic annealing
+  loop :class:`repro.engine.AnnealEngine` drives.
 """
 
 from repro.anneal.schedule import GeometricSchedule, initial_temperature
@@ -24,21 +23,6 @@ from repro.anneal.pipeline import (
     PinTopology,
 )
 from repro.anneal.cost import CostBreakdown, FloorplanObjective
-from repro.anneal.annealer import (
-    AnnealResult,
-    FloorplanAnnealer,
-    TemperatureSnapshot,
-)
-from repro.anneal.sp_annealer import (
-    SequencePairAnnealer,
-    SequencePairResult,
-    SequencePairSnapshot,
-)
-from repro.anneal.btree_annealer import (
-    BStarTreeAnnealer,
-    BStarTreeResult,
-    BStarTreeSnapshot,
-)
 from repro.anneal.generic import anneal
 
 __all__ = [
@@ -53,14 +37,5 @@ __all__ = [
     "EvaluationPipeline",
     "CostBreakdown",
     "FloorplanObjective",
-    "AnnealResult",
-    "FloorplanAnnealer",
-    "TemperatureSnapshot",
-    "SequencePairAnnealer",
-    "SequencePairResult",
-    "SequencePairSnapshot",
-    "BStarTreeAnnealer",
-    "BStarTreeResult",
-    "BStarTreeSnapshot",
     "anneal",
 ]

@@ -49,7 +49,7 @@ from repro.backend import make_backend
 from repro.congestion.base import CongestionModel
 from repro.floorplan import Floorplan, evaluate_polish, initial_expression
 from repro.netlist import Netlist
-from repro.perf import NULL_RECORDER, PerfRecorder
+from repro.perf import PerfRecorder
 from repro.perf.context import CacheContext
 
 __all__ = ["CostBreakdown", "FloorplanObjective"]
@@ -93,16 +93,6 @@ class FloorplanObjective:
         a private context.  If the congestion model has a
         ``cache_context`` slot that is still unset, the objective's
         context is injected into it.
-    backend:
-        Compute backend for the hot-path kernels: a registered name
-        (``"numpy"`` / ``"numba"`` / ``"python"``), an already-built
-        :class:`~repro.backend.KernelBackend`, or ``None`` for the
-        numpy default.  Flows into the MST/wirelength stage and -- when
-        the congestion model's own ``backend`` slot is still unset --
-        into the congestion model, mirroring the cache-context
-        injection.  JIT warm-up (compilation) happens at construction,
-        never inside a timed phase; its cost is reported under the
-        ``jit_compile_seconds`` perf timer.
 
     The ``perf`` attribute accepts a :class:`~repro.perf.PerfRecorder`;
     phases ``packing`` / ``pin_assignment`` / ``wirelength`` /
@@ -123,7 +113,6 @@ class FloorplanObjective:
         incremental: bool = True,
         strict_incremental: bool = False,
         cache_context: Optional[CacheContext] = None,
-        backend=None,
     ):
         if min(alpha, beta, gamma) < 0:
             raise ValueError("objective weights must be non-negative")
@@ -150,20 +139,12 @@ class FloorplanObjective:
             and getattr(congestion_model, "cache_context", False) is None
         ):
             congestion_model.cache_context = self.cache_context
-        # Resolve the backend once (JIT warm-up happens here, outside
-        # any timed phase) and inject it into a backend-less congestion
-        # model, mirroring the cache-context injection above.
-        self.backend = make_backend(backend)
-        self._jit_recorded = False
-        if (
-            congestion_model is not None
-            and getattr(congestion_model, "backend", False) is None
-        ):
-            congestion_model.backend = self.backend
+        # Provenance only: numpy is the one compute lane.
+        self.backend = make_backend()
         self._pipeline = EvaluationPipeline(
             netlist,
             pins=PinStage(float(pin_grid_size)),
-            mst=MstStage(backend=self.backend),
+            mst=MstStage(),
             congestion=CongestionStage(congestion_model if gamma > 0 else None),
             aggregator=CostAggregator(alpha, beta, gamma),
             incremental=incremental,
@@ -216,18 +197,6 @@ class FloorplanObjective:
     @perf.setter
     def perf(self, recorder: PerfRecorder) -> None:
         self._pipeline.perf = recorder
-        # Surface the construction-time JIT warm-up cost (once, on the
-        # first real recorder) so bench numbers can exclude it: compile
-        # time never lands inside a timed phase.
-        if (
-            not self._jit_recorded
-            and recorder is not NULL_RECORDER
-            and self.backend.jit_seconds > 0.0
-        ):
-            recorder.add_time(
-                "jit_compile_seconds", self.backend.jit_seconds
-            )
-            self._jit_recorded = True
 
     @property
     def _state(self) -> Optional[EvalState]:

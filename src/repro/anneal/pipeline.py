@@ -308,18 +308,9 @@ class MstStage:
     Also owns the weighted Manhattan wirelength over those arrays --
     wirelength is a pure reduction of the stage's output, not a stage
     of its own.
-
-    ``backend`` is an optional :class:`repro.backend.KernelBackend`;
-    when it carries MST / wirelength kernels, the per-group Prim
-    decomposition and the wirelength reduction go through them (the MST
-    edge lists are bit-identical either way -- both implementations
-    share first-minimum tie-breaking).
     """
 
-    __slots__ = ("backend",)
-
-    def __init__(self, backend=None):
-        self.backend = backend
+    __slots__ = ()
 
     def fill_simple(
         self, topology: PinTopology, edges: TwoPinArrays, sx, sy, which=None
@@ -352,13 +343,7 @@ class MstStage:
         rows = pin_s[:, None] + np.arange(k)
         xs = sx[rows]
         ys = sy[rows]
-        kern = None if self.backend is None else self.backend.mst_kernel
-        if kern is not None:
-            i = np.empty((len(pin_s), k - 1), dtype=np.int64)
-            j = np.empty((len(pin_s), k - 1), dtype=np.int64)
-            kern(xs, ys, i, j)
-        else:
-            i, j = batched_mst_edges(xs, ys)
+        i, j = batched_mst_edges(xs, ys)
         m = np.arange(len(pin_s))[:, None]
         slots = slot[:, None] + np.arange(k - 1)
         edges.p1x[slots] = xs[m, i]
@@ -396,16 +381,6 @@ class MstStage:
 
     def wirelength(self, topology: PinTopology, edges: TwoPinArrays) -> float:
         """Weighted Manhattan length of every placed edge."""
-        kern = (
-            None if self.backend is None else self.backend.wirelength_kernel
-        )
-        if kern is not None:
-            return float(
-                kern(
-                    topology.edge_weights,
-                    edges.p1x, edges.p1y, edges.p2x, edges.p2y,
-                )
-            )
         return float(
             (
                 topology.edge_weights

@@ -117,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered floorplan representations and exit",
     )
     fp.add_argument(
-        "--list-backends",
-        action="store_true",
-        help="list the registered compute backends and exit",
-    )
-    fp.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -130,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fp.add_argument("--gamma", type=float, default=0.0, help="congestion weight")
     fp.add_argument("--grid-size", type=float, default=None, help="IR unit pitch (um)")
-    fp.add_argument(
-        "--backend",
-        choices=("numpy", "numba", "python"),
-        default="numpy",
-        help="compute backend for the hot-path kernels (numba falls "
-        "back to numpy with a warning when not installed)",
-    )
     fp.add_argument(
         "--perf",
         action="store_true",
@@ -318,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--gamma", type=float, default=0.0)
     sm.add_argument("--grid-size", type=float, default=None,
                     help="congestion grid pitch (default: per-circuit)")
-    sm.add_argument("--backend", default=None)
     sm.add_argument("--max-steps", type=int, default=200)
     sm.add_argument("--moves-per-temperature", type=int, default=None)
     sm.add_argument("--priority", type=int, default=0,
@@ -398,9 +385,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_list_registries(args) -> int:
-    """Print the requested registries (drivers, representations,
-    backends) with their one-line descriptions."""
-    from repro.backend import backend_descriptions
+    """Print the requested registries (drivers, representations)
+    with their one-line descriptions."""
     from repro.engine import driver_descriptions, representation_descriptions
 
     sections = []
@@ -408,8 +394,6 @@ def _cmd_list_registries(args) -> int:
         sections.append(("search drivers", driver_descriptions()))
     if args.list_reprs:
         sections.append(("representations", representation_descriptions()))
-    if args.list_backends:
-        sections.append(("compute backends", backend_descriptions()))
     for i, (title, entries) in enumerate(sections):
         if i:
             print()
@@ -421,7 +405,7 @@ def _cmd_list_registries(args) -> int:
 
 
 def _cmd_floorplan(args) -> int:
-    if args.list_drivers or args.list_reprs or args.list_backends:
+    if args.list_drivers or args.list_reprs:
         return _cmd_list_registries(args)
     if args.circuit is None and args.resume is None:
         raise SystemExit(
@@ -632,7 +616,6 @@ def _floorplan_outputs(
 
 
 def _build_objective(args, netlist, grid_size, incremental) -> FloorplanObjective:
-    backend = getattr(args, "backend", None)
     if args.gamma > 0:
         return FloorplanObjective(
             netlist,
@@ -643,7 +626,6 @@ def _build_objective(args, netlist, grid_size, incremental) -> FloorplanObjectiv
                 grid_size, use_cache=incremental
             ),
             incremental=incremental,
-            backend=backend,
         )
     return FloorplanObjective(
         netlist,
@@ -652,7 +634,6 @@ def _build_objective(args, netlist, grid_size, incremental) -> FloorplanObjectiv
         gamma=0.0,
         pin_grid_size=grid_size,
         incremental=incremental,
-        backend=backend,
     )
 
 
@@ -666,7 +647,6 @@ def _objective_spec(args, grid_size, incremental):
         congestion_grid_size=grid_size,
         pin_grid_size=grid_size if args.gamma <= 0 else None,
         incremental=incremental,
-        backend=getattr(args, "backend", None),
     )
 
 
@@ -1024,7 +1004,6 @@ def _cmd_submit(args) -> int:
         "beta": args.beta,
         "gamma": args.gamma,
         "congestion_grid_size": _grid_size_for(netlist, args.grid_size),
-        "backend": args.backend,
         "max_steps": args.max_steps,
         "moves_per_temperature": args.moves_per_temperature,
         "priority": args.priority,

@@ -502,45 +502,6 @@ def _flat_probabilities(
     return prob, col, row, counts, offsets
 
 
-def _kernel_probabilities(
-    frame: _Frame, sub: np.ndarray, panels: int, paper_bounds: bool, mass_kernel
-):
-    """Compiled-backend twin of :func:`_flat_probabilities`.
-
-    ONE kernel call computes every covered cell of every net in
-    ``sub`` (CSR layout: per-net flat offsets into one probability
-    vector, cells column-fastest per net -- the same flat order the
-    numpy path and :func:`_cell_enumeration` use).  Only the cheap
-    integer framing happens in Python.  Returns
-    ``(prob, counts, offsets)``.
-    """
-    n_c = frame.col_hi[sub] - frame.col_lo[sub] + 1
-    n_r = frame.row_hi[sub] - frame.row_lo[sub] + 1
-    counts = n_c * n_r
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    prob = np.empty(int(counts.sum()))
-    mass_kernel(
-        frame.g1[sub].astype(np.int64),
-        frame.g2[sub].astype(np.int64),
-        frame.type_two[sub],
-        frame.sx_lo[sub],
-        frame.sy_lo[sub],
-        (frame.sx_hi[sub] - frame.sx_lo[sub]) / frame.g1[sub],
-        (frame.sy_hi[sub] - frame.sy_lo[sub]) / frame.g2[sub],
-        frame.col_lo[sub].astype(np.int64),
-        frame.col_hi[sub].astype(np.int64),
-        frame.row_lo[sub].astype(np.int64),
-        frame.row_hi[sub].astype(np.int64),
-        frame.x_lines,
-        frame.y_lines,
-        offsets.astype(np.int64),
-        panels,
-        0.0 if paper_bounds else 0.5,
-        prob,
-    )
-    return prob, counts, offsets
-
-
 def _axis_offsets(
     lines: np.ndarray,
     cell_lo: np.ndarray,
@@ -571,7 +532,6 @@ def _axis_offsets(
 def _signature_keys(
     panels: int,
     paper_bounds: bool,
-    kernel_flag: int,
     type_two: np.ndarray,
     g1: np.ndarray,
     g2: np.ndarray,
@@ -581,26 +541,22 @@ def _signature_keys(
     ny: np.ndarray,
 ) -> List[bytes]:
     """One ``bytes`` signature per net: a fixed header (panels,
-    paper_bounds, kernel flag, net type, ``g1``, ``g2``, ``nx`` -- the
-    last making the x/y split unambiguous) followed by both axes'
-    quantized line offsets.  The kernel flag keeps vectors produced by
-    a compiled backend from mixing with numpy-produced ones in a shared
-    cache context (they agree to 1e-15, not bitwise).  A single flat
-    ``int32`` buffer is assembled with a handful of scatters and sliced
-    per net, so key construction does one hash-friendly allocation per
-    net instead of an 8-tuple."""
+    paper_bounds, net type, ``g1``, ``g2``, ``nx`` -- the last making
+    the x/y split unambiguous) followed by both axes' quantized line
+    offsets.  A single flat ``int32`` buffer is assembled with a
+    handful of scatters and sliced per net, so key construction does
+    one hash-friendly allocation per net instead of a 7-tuple."""
     n = len(nx)
-    header = 7
+    header = 6
     lens = header + nx + ny
     offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
     out = np.empty(int(lens.sum()), dtype=np.int32)
     out[offs] = panels
     out[offs + 1] = paper_bounds
-    out[offs + 2] = kernel_flag
-    out[offs + 3] = type_two
-    out[offs + 4] = g1
-    out[offs + 5] = g2
-    out[offs + 6] = nx
+    out[offs + 2] = type_two
+    out[offs + 3] = g1
+    out[offs + 4] = g2
+    out[offs + 5] = nx
     cum_x = np.concatenate([[0], np.cumsum(nx)[:-1]])
     e_x = np.arange(int(nx.sum())) - np.repeat(cum_x, nx)
     out[np.repeat(offs + header, nx) + e_x] = x_vals
@@ -620,7 +576,6 @@ def _memo_probabilities(
     paper_bounds: bool,
     cache: BoundedCache,
     exact_cache: Optional[BoundedCache],
-    mass_kernel,
 ):
     """Memoized probabilities of the regular edges in ``idx``.
 
@@ -628,7 +583,7 @@ def _memo_probabilities(
     :func:`_flat_probabilities` emits them (column-fastest); the
     signature build and the cache lookups are batched (`get_many` /
     `put_many` take the cache lock once), and only the missing nets
-    re-enter the Simpson broadcast / compiled kernel.  Returns
+    re-enter the Simpson broadcast.  Returns
     ``(prob, counts, offsets)`` in ``idx`` order.
     """
     g1 = frame.g1
@@ -650,22 +605,16 @@ def _memo_probabilities(
         y_unit_all[idx],
     )
     keys = _signature_keys(
-        panels, paper_bounds, int(mass_kernel is not None),
-        frame.type_two[idx], g1[idx], g2[idx],
+        panels, paper_bounds, frame.type_two[idx], g1[idx], g2[idx],
         x_vals, nx, y_vals, ny,
     )
     vectors: List[Optional[np.ndarray]] = cache.get_many(keys)
     miss_pos = [t for t, v in enumerate(vectors) if v is None]
     if miss_pos:
         sub = idx[miss_pos]
-        if mass_kernel is not None:
-            prob_m, counts_m, offsets_m = _kernel_probabilities(
-                frame, sub, panels, paper_bounds, mass_kernel
-            )
-        else:
-            prob_m, _, _, counts_m, offsets_m = _flat_probabilities(
-                frame, sub, panels, paper_bounds, exact_cache
-            )
+        prob_m, _, _, counts_m, offsets_m = _flat_probabilities(
+            frame, sub, panels, paper_bounds, exact_cache
+        )
         fresh = []
         for s, t in enumerate(miss_pos):
             vec = prob_m[offsets_m[s] : offsets_m[s] + int(counts_m[s])].copy()
@@ -687,7 +636,6 @@ def _edge_blocks(
     paper_bounds: bool,
     cache: Optional[BoundedCache],
     exact_cache: Optional[BoundedCache],
-    mass_kernel,
 ):
     """Weighted per-cell contributions of every edge in ``frame``.
 
@@ -711,13 +659,7 @@ def _edge_blocks(
     if len(idx):
         if cache is not None:
             prob, counts, _ = _memo_probabilities(
-                frame, idx, panels, paper_bounds, cache, exact_cache,
-                mass_kernel,
-            )
-            _, _, _, _, _, col, row = _cell_enumeration(frame, idx)
-        elif mass_kernel is not None:
-            prob, counts, _ = _kernel_probabilities(
-                frame, idx, panels, paper_bounds, mass_kernel
+                frame, idx, panels, paper_bounds, cache, exact_cache
             )
             _, _, _, _, _, col, row = _cell_enumeration(frame, idx)
         else:
@@ -767,7 +709,6 @@ def batched_approx_mass(
     paper_bounds: bool = False,
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
-    backend=None,
 ) -> np.ndarray:
     """Congestion mass per IR-cell, shape ``(n_columns, n_rows)``.
 
@@ -776,9 +717,6 @@ def batched_approx_mass(
     from the caller's :class:`~repro.perf.context.CacheContext`.
     ``None`` forces the pure batch path (identical results -- cached
     blocks are bit-for-bit the kernel's output for the same signature).
-    ``backend`` is an optional :class:`repro.backend.KernelBackend`;
-    when it carries a mass kernel, per-cell probabilities come from one
-    compiled-kernel call instead of the numpy broadcast.
     """
     if not nets:
         return np.zeros((irgrid.n_columns, irgrid.n_rows))
@@ -790,7 +728,6 @@ def batched_approx_mass(
         paper_bounds=paper_bounds,
         cache=cache,
         exact_cache=exact_cache,
-        backend=backend,
     )
 
 
@@ -802,7 +739,6 @@ def batched_approx_mass_arrays(
     paper_bounds: bool = False,
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
-    backend=None,
     want_contributions: bool = False,
 ):
     """:func:`batched_approx_mass` over a :class:`TwoPinArrays` batch.
@@ -817,7 +753,6 @@ def batched_approx_mass_arrays(
     the extra cost is a few gathers, not a recomputation.  The return
     value is then ``(mass, contributions)``.
     """
-    mass_kernel = None if backend is None else backend.mass_kernel
     mass = np.zeros((irgrid.n_columns, irgrid.n_rows))
     if not len(arr):
         if want_contributions:
@@ -826,7 +761,7 @@ def batched_approx_mass_arrays(
 
     frame = _frame_edges(irgrid, arr, grid_size)
     deg, deg_data, idx, reg_data = _edge_blocks(
-        frame, panels, paper_bounds, cache, exact_cache, mass_kernel
+        frame, panels, paper_bounds, cache, exact_cache
     )
 
     # ``bincount`` over flattened indices is several times faster than
@@ -858,7 +793,6 @@ def batched_edge_contributions(
     paper_bounds: bool = False,
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
-    backend=None,
 ) -> EdgeContributions:
     """Per-edge contributions of the subset ``rows`` of ``arr``.
 
@@ -870,12 +804,11 @@ def batched_edge_contributions(
     ledger's subtract-old/add-new delta depends on, asserted to 1e-12
     by strict mode and the property suite.
     """
-    mass_kernel = None if backend is None else backend.mass_kernel
     rows = np.asarray(rows, dtype=np.intp)
     if not len(rows):
         return _assemble_contributions(0, None, None, None, None)
     frame = _frame_edges(irgrid, arr, grid_size, rows=rows)
     deg, deg_data, idx, reg_data = _edge_blocks(
-        frame, panels, paper_bounds, cache, exact_cache, mass_kernel
+        frame, panels, paper_bounds, cache, exact_cache
     )
     return _assemble_contributions(len(rows), deg, deg_data, idx, reg_data)

@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import KernelBackend, make_backend
 from repro.congestion.base import CongestionCell, CongestionMap, CongestionModel
 from repro.congestion.batched import (
     batched_approx_mass,
@@ -108,13 +107,6 @@ class IrregularGridModel(CongestionModel):
         accountable context; when ``None`` and ``use_cache`` is true, a
         private context is created on first use, so standalone models
         still never share state with one another.
-    backend:
-        Compute backend for the batched mass evaluation: a registered
-        name (``"numpy"`` / ``"numba"`` / ``"python"``), a built
-        :class:`~repro.backend.KernelBackend`, or ``None`` for numpy.
-        ``None`` also lets an owning objective inject its backend,
-        mirroring ``cache_context``.  Results agree across backends to
-        <= 1e-12 relative (see :mod:`repro.backend.registry`).
 
     The ``perf`` attribute may be set to a
     :class:`~repro.perf.PerfRecorder` to time the evaluation phases
@@ -131,7 +123,6 @@ class IrregularGridModel(CongestionModel):
         top_fraction: float = 0.1,
         use_cache: bool = True,
         cache_context: Optional[CacheContext] = None,
-        backend=None,
         use_ledger: bool = True,
         ledger_refresh: int = 64,
     ):
@@ -155,9 +146,6 @@ class IrregularGridModel(CongestionModel):
         self.use_ledger = bool(use_ledger)
         self.ledger_refresh = int(ledger_refresh)
         self.cache_context = cache_context
-        if backend is not None and not isinstance(backend, KernelBackend):
-            backend = make_backend(backend)
-        self.backend = backend
         self.perf = NULL_RECORDER
         self._exact_twin_model: Optional["IrregularGridModel"] = None
 
@@ -244,7 +232,6 @@ class IrregularGridModel(CongestionModel):
                 paper_bounds=self.paper_bounds,
                 cache=ctx.net_mass if ctx else None,
                 exact_cache=ctx.exact_prob if ctx else None,
-                backend=self.backend,
             )
             if not np.isfinite(mass).all():
                 mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
@@ -300,14 +287,13 @@ class IrregularGridModel(CongestionModel):
                     paper_bounds=self.paper_bounds,
                     cache=cache,
                     exact_cache=exact_cache,
-                    backend=self.backend,
                 )
                 if np.isfinite(fresh.values).all():
                     mass = ledger.mass.copy()
                     flat = mass.ravel()
                     old_cells, old_values = ledger.gather(rows)
-                    self._scatter_into(flat, old_cells, np.negative(old_values))
-                    self._scatter_into(flat, fresh.cells, fresh.values)
+                    np.add.at(flat, old_cells, np.negative(old_values))
+                    np.add.at(flat, fresh.cells, fresh.values)
                     new_ledger = ledger.replaced(rows, fresh, mass)
                     self.perf.count("congestion_delta")
                     return self._score_mass(irgrid, mass), new_ledger
@@ -323,7 +309,6 @@ class IrregularGridModel(CongestionModel):
                 paper_bounds=self.paper_bounds,
                 cache=cache,
                 exact_cache=exact_cache,
-                backend=self.backend,
                 want_contributions=True,
             )
             new_ledger = None
@@ -338,15 +323,6 @@ class IrregularGridModel(CongestionModel):
             else:
                 mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
         return self._score_mass(irgrid, mass), new_ledger
-
-    def _scatter_into(self, flat, cells, values) -> None:
-        """Input-order ``flat[cells] += values`` through the backend's
-        scatter kernel (``np.add.at`` semantics either way)."""
-        kern = None if self.backend is None else self.backend.scatter_kernel
-        if kern is not None:
-            kern(cells, values, flat)
-        else:
-            np.add.at(flat, cells, values)
 
     def densities_arrays(self, chip: Rect, arr) -> np.ndarray:
         """Per-cell densities straight from edge coordinate arrays.
@@ -378,7 +354,6 @@ class IrregularGridModel(CongestionModel):
                 paper_bounds=self.paper_bounds,
                 cache=ctx.net_mass if ctx else None,
                 exact_cache=ctx.exact_prob if ctx else None,
-                backend=self.backend,
             )
             if not np.isfinite(mass).all():
                 mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
@@ -494,7 +469,6 @@ class IrregularGridModel(CongestionModel):
                 paper_bounds=self.paper_bounds,
                 cache=ctx.net_mass if ctx else None,
                 exact_cache=ctx.exact_prob if ctx else None,
-                backend=self.backend,
             )
             if not np.isfinite(mass).all():
                 mass = self._exact_rescue(irgrid, nets)

@@ -32,13 +32,6 @@ for SIGINT/SIGTERM, atomic checkpoints and bit-identical
 multistart supervisor's per-restart :class:`RunReport` ledger.
 """
 
-from repro.backend import (
-    KernelBackend,
-    available_backends,
-    backend_descriptions,
-    make_backend,
-    register_backend,
-)
 from repro.engine.checkpoint import (
     Checkpoint,
     CheckpointInfo,
@@ -110,11 +103,6 @@ __all__ = [
     "make_representation",
     "register_representation",
     "representation_descriptions",
-    "KernelBackend",
-    "available_backends",
-    "backend_descriptions",
-    "make_backend",
-    "register_backend",
     "CacheContext",
     "RunControl",
     "install_signal_handlers",

@@ -6,7 +6,7 @@ This module generalizes that into a **search-driver layer**: a driver
 is a strategy for scheduling supervised annealing jobs -- which jobs to
 run, with what state, and what to do between rounds -- behind one
 protocol and one string-keyed registry, mirroring the representation
-and backend registries.
+registry.
 
 Built-in drivers:
 

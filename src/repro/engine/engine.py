@@ -145,13 +145,6 @@ class AnnealEngine:
         The cache fleet for this engine; a private one is created when
         omitted.  Every engine owns exactly one context -- two engines
         never share cache state unless explicitly given one context.
-    backend:
-        Compute-backend name (``"numpy"`` / ``"numba"`` / ``"python"``)
-        for the engine-built default objective.  Callers supplying their
-        own ``objective`` / ``objective_factory`` / ``objective_spec``
-        set the backend there instead (the spec has a ``backend``
-        field); combining them raises ``ValueError`` so a requested
-        backend can never be silently ignored.
     initial_state:
         Start annealing from this representation state instead of a
         seeded random initial.  Search drivers use it to continue from
@@ -176,22 +169,12 @@ class AnnealEngine:
         schedule: Optional[GeometricSchedule] = None,
         calibrate: bool = True,
         cache_context: Optional[CacheContext] = None,
-        backend: Optional[str] = None,
         initial_state: Optional[object] = None,
         t0_scale: float = 1.0,
     ):
         if objective is not None and objective_factory is not None:
             raise ValueError(
                 "pass either objective or objective_factory, not both"
-            )
-        if backend is not None and (
-            objective is not None
-            or objective_factory is not None
-            or objective_spec is not None
-        ):
-            raise ValueError(
-                "backend= configures the engine-built default objective; "
-                "set the backend on your objective / factory / spec instead"
             )
         self.netlist = netlist
         self.objective_spec = objective_spec
@@ -212,9 +195,7 @@ class AnnealEngine:
                 objective = objective_spec.build(netlist, self.cache_context)
             else:
                 objective = FloorplanObjective(
-                    netlist,
-                    cache_context=self.cache_context,
-                    backend=backend,
+                    netlist, cache_context=self.cache_context
                 )
         self.objective = objective
         if isinstance(representation, Representation):

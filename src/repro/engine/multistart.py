@@ -73,10 +73,6 @@ class ObjectiveSpec:
     allow_rotation: bool = True
     incremental: bool = True
     strict_incremental: bool = False
-    # Compute-backend *name* (kept a string so the spec stays
-    # picklable); each worker resolves it -- and pays JIT warm-up --
-    # in its own process.  None means numpy.
-    backend: Optional[str] = None
 
     def build(
         self, netlist: Netlist, cache_context: CacheContext
@@ -101,7 +97,6 @@ class ObjectiveSpec:
             incremental=self.incremental,
             strict_incremental=self.strict_incremental,
             cache_context=cache_context,
-            backend=self.backend,
         )
 
 
@@ -197,11 +192,9 @@ class RunReport:
     (e.g. ``"round 2 / btree / slot 1"``); plain multistart restarts
     leave it ``None``.
 
-    ``cache_stats`` and ``jit_compile_seconds`` are the delivered
-    result's worker-side accounting (per-cache hit/miss snapshots as
-    plain dicts, and the one-off JIT warm-up time), attached by
-    :meth:`attach_result` -- before PR 8 these were measured inside
-    worker processes and silently dropped at the pickle boundary.
+    ``cache_stats`` is the delivered result's worker-side accounting
+    (per-cache hit/miss snapshots as plain dicts), attached by
+    :meth:`attach_result`.
     """
 
     seed: int
@@ -211,7 +204,6 @@ class RunReport:
     failures: List[RestartFailure] = field(default_factory=list)
     label: Optional[str] = None
     cache_stats: Dict[str, Any] = field(default_factory=dict)
-    jit_compile_seconds: float = 0.0
 
     @property
     def retried(self) -> bool:
@@ -220,20 +212,15 @@ class RunReport:
     def attach_result(self, result: Any) -> None:
         """Record a delivered result's worker-side accounting.
 
-        Pulls the per-cache statistics (as JSON-ready dicts) and the
-        JIT warm-up seconds off an :class:`EngineResult`; safe on any
-        result-shaped object -- missing pieces leave the defaults.
+        Pulls the per-cache statistics (as JSON-ready dicts) off an
+        :class:`EngineResult`; safe on any result-shaped object -- a
+        missing piece leaves the default.
         """
         stats = getattr(result, "cache_stats", None) or {}
         self.cache_stats = {
             name: s.to_json() if hasattr(s, "to_json") else dict(s)
             for name, s in stats.items()
         }
-        perf = getattr(result, "perf", None)
-        if perf is not None:
-            jit = perf.timers.get("jit_compile_seconds")
-            if jit is not None:
-                self.jit_compile_seconds = jit.seconds
 
     def record_failure(self, kind: str, message: str) -> None:
         """Log one failed attempt and advance the attempt counter."""
@@ -273,7 +260,6 @@ class RunReport:
             "cache_stats": {
                 name: dict(s) for name, s in self.cache_stats.items()
             },
-            "jit_compile_seconds": self.jit_compile_seconds,
         }
 
     @classmethod
@@ -294,7 +280,6 @@ class RunReport:
                 name: dict(s)
                 for name, s in data.get("cache_stats", {}).items()
             },
-            jit_compile_seconds=float(data.get("jit_compile_seconds", 0.0)),
         )
 
 

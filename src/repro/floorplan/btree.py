@@ -14,10 +14,9 @@ y at its x position.  B*-trees reach exactly the admissible compacted
 placements, and packing is O(m) amortized per walk.
 
 The perturbation set mirrors the literature: rotate a module, move a
-node to a new parent, and swap two nodes.  Together with
-:class:`~repro.anneal.btree_annealer`-style drivers (we reuse the
-sequence-pair annealer pattern) this gives the congestion model a third
-host floorplanner.
+node to a new parent, and swap two nodes.  Annealed through
+:class:`repro.engine.AnnealEngine` (``representation="btree"``), this
+gives the congestion model a third host floorplanner.
 """
 
 from __future__ import annotations
@@ -234,16 +233,19 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
                 dedup.append((x, h))
         contour[:] = dedup
 
-    def place(name: str, x: float) -> None:
+    # Preorder DFS on an explicit stack (a left chain is as deep as the
+    # module count): pushing right before left pops the left subtree
+    # first, so modules are placed in the same order as a recursion.
+    stack: List[Tuple[str, float]] = [(tree.root, 0.0)]
+    while stack:
+        name, x = stack.pop()
         w, h = dims[name]
         y = contour_max(x, x + w)
         placements[name] = Rect.from_origin(x, y, w, h)
         contour_raise(x, x + w, y + h)
         node = tree.nodes[name]
-        if node.left is not None:
-            place(node.left, x + w)
         if node.right is not None:
-            place(node.right, x)
-
-    place(tree.root, 0.0)
+            stack.append((node.right, x))
+        if node.left is not None:
+            stack.append((node.left, x + w))
     return Floorplan(placements)

@@ -72,7 +72,6 @@ _CONTENT_FIELDS = (
     "gamma",
     "congestion_grid_size",
     "pin_grid_size",
-    "backend",
     "incremental",
     "moves_per_temperature",
     "cooling_rate",
@@ -103,7 +102,6 @@ class JobSpec:
     gamma: float = 0.0
     congestion_grid_size: float = 30.0
     pin_grid_size: Optional[float] = None
-    backend: Optional[str] = None
     incremental: bool = True
     moves_per_temperature: Optional[int] = None
     cooling_rate: float = 0.9
@@ -185,7 +183,6 @@ class JobSpec:
             congestion_grid_size=self.congestion_grid_size,
             pin_grid_size=self.pin_grid_size,
             incremental=self.incremental,
-            backend=self.backend,
         )
 
     def schedule(self):
@@ -211,7 +208,6 @@ class JobSpec:
             "gamma": self.gamma,
             "congestion_grid_size": self.congestion_grid_size,
             "pin_grid_size": self.pin_grid_size,
-            "backend": self.backend,
             "incremental": self.incremental,
             "moves_per_temperature": self.moves_per_temperature,
             "cooling_rate": self.cooling_rate,
@@ -228,9 +224,22 @@ class JobSpec:
     def from_json(cls, data: Mapping[str, Any]) -> "JobSpec":
         """Rebuild a spec from :meth:`to_json` output (or a client
         submission body).  Unknown keys are rejected loudly -- a typoed
-        field name must not silently fall back to a default."""
+        field name must not silently fall back to a default.
+
+        The one exception is ``backend``, a removed field that every
+        journal written before numpy became the only compute lane
+        carries as ``null``: it is accepted and dropped when it names
+        that lane (``null`` or ``"numpy"``), so existing service roots
+        still replay, and refused otherwise."""
         if "netlist_yal" not in data:
             raise JobValidationError("submission is missing netlist_yal")
+        data = dict(data)
+        legacy_backend = data.pop("backend", None)
+        if legacy_backend not in (None, "numpy"):
+            raise JobValidationError(
+                f"unknown backend {legacy_backend!r}; numpy is the only "
+                f"compute lane"
+            )
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -238,7 +247,7 @@ class JobSpec:
                 f"unknown job field(s): {sorted(unknown)}"
             )
         try:
-            return cls(**dict(data))
+            return cls(**data)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, JobValidationError):
                 raise

@@ -1,6 +1,6 @@
-"""Property tests for the committed-grid congestion ledger (PR 9).
+"""Property tests for the committed-grid congestion ledger.
 
-Three contracts, all hypothesis-driven:
+Two contracts, both hypothesis-driven:
 
 * chained ledger delta evaluations agree with a from-scratch reference
   model to 1e-12 across randomized move sequences that mix
@@ -8,9 +8,6 @@ Three contracts, all hypothesis-driven:
   points, so the merged cut lines hold still and the O(dirty) path
   fires) with grid-changing ones (fresh lattice points force the full
   rebuild);
-* the ``scatter_accumulate`` kernel matches ``np.add.at`` semantics --
-  input-order accumulation with repeated indices -- on every backend
-  that ships it;
 * the selection-based ``_top_density_score`` equals the seed argsort
   greedy (:func:`area_weighted_top_fraction_mean`), including when the
   area target lands inside a group of equal-density cells.
@@ -22,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import kernels, make_backend
 from repro.congestion import IrregularGridModel
 from repro.geometry import Rect
 from repro.metrics.stats import area_weighted_top_fraction_mean
@@ -150,48 +146,6 @@ class TestLedgerParity:
         # limit, rebuilds (resetting age), then one more delta.
         assert model.perf.counters["congestion_delta"] == 3
         assert model.perf.counters["congestion_grid_rebuilt"] == 2
-
-
-class TestScatterKernel:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=15),
-                st.floats(
-                    min_value=-1e6,
-                    max_value=1e6,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
-            ),
-            max_size=60,
-        )
-    )
-    def test_matches_np_add_at(self, pairs):
-        index = np.asarray([i for i, _ in pairs], dtype=np.int64)
-        values = np.asarray([v for _, v in pairs])
-        expected = np.zeros(16)
-        np.add.at(expected, index, values)
-        out = np.zeros(16)
-        kernels.scatter_accumulate(index, values, out)
-        np.testing.assert_array_equal(out, expected)
-
-    @pytest.mark.parametrize("backend_name", ["python", "numba", "numpy"])
-    def test_backend_slot_agrees(self, backend_name):
-        backend = make_backend(backend_name)
-        index = np.array([0, 3, 0, 7, 3, 0], dtype=np.int64)
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        expected = np.zeros(8)
-        np.add.at(expected, index, values)
-        out = np.zeros(8)
-        if backend.scatter_kernel is None:
-            # The numpy backend (and numba's fallback when numba is not
-            # installed) tells dispatch sites to keep using np.add.at.
-            np.add.at(out, index, values)
-        else:
-            backend.scatter_kernel(index, values, out)
-        np.testing.assert_array_equal(out, expected)
 
 
 class TestSelectionScoring:

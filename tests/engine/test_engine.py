@@ -1,22 +1,15 @@
-"""Tests for the unified annealing engine and the deprecated shims.
+"""Tests for the unified annealing engine.
 
-The engine must reproduce the deprecated per-representation annealers
-bit-for-bit (they are now shims over it), own its caches so concurrent
-engines never interact, and support every registered representation
-through the incremental objective.
+The engine must own its caches so concurrent engines never interact,
+and support every registered representation through the incremental
+objective.
 """
 
 import math
-import warnings
 
 import pytest
 
-from repro.anneal import (
-    BStarTreeAnnealer,
-    FloorplanAnnealer,
-    FloorplanObjective,
-    SequencePairAnnealer,
-)
+from repro.anneal import FloorplanObjective
 from repro.anneal.schedule import GeometricSchedule
 from repro.congestion import IrregularGridModel
 from repro.engine import AnnealEngine, CacheContext, EngineResult
@@ -86,47 +79,6 @@ class TestEngineBasics:
         objective = FloorplanObjective(netlist)
         engine = AnnealEngine(netlist, objective=objective)
         assert engine.cache_context is objective.cache_context
-
-
-class TestDeprecatedShims:
-    def _legacy(self, cls, netlist, seed):
-        with pytest.warns(DeprecationWarning):
-            annealer = cls(
-                netlist,
-                seed=seed,
-                moves_per_temperature=3 * netlist.n_modules,
-                schedule=SHORT,
-            )
-        return annealer.run()
-
-    @pytest.mark.parametrize(
-        "cls,name",
-        [
-            (FloorplanAnnealer, "polish"),
-            (SequencePairAnnealer, "sp"),
-            (BStarTreeAnnealer, "btree"),
-        ],
-    )
-    def test_shim_matches_engine_exactly(self, cls, name):
-        netlist = random_circuit(8, 20, seed=6)
-        legacy = self._legacy(cls, netlist, seed=6)
-        engine = _engine(netlist, name, seed=6).run()
-        assert legacy.cost == engine.cost
-        assert legacy.n_moves == engine.n_moves
-        assert legacy.n_accepted == engine.n_accepted
-        assert legacy.breakdown == engine.breakdown
-
-    def test_construction_warns_without_running(self):
-        netlist = random_circuit(4, 8, seed=7)
-        for cls in (FloorplanAnnealer, SequencePairAnnealer, BStarTreeAnnealer):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                cls(netlist)
-
-    def test_engine_does_not_warn(self):
-        netlist = random_circuit(4, 8, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _engine(netlist, "polish")
 
 
 class TestCacheIsolation:

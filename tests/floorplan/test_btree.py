@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.floorplan import BStarTree, pack_btree
 from repro.floorplan.btree import _Node
+from repro.geometry import Rect
 from repro.netlist import Module
 
 
@@ -132,3 +133,61 @@ class TestMoves:
         # Compaction invariant: the packing touches both axes' origins.
         assert min(r.x_lo for r in fp.placements.values()) == 0.0
         assert min(r.y_lo for r in fp.placements.values()) == 0.0
+
+
+def recursive_pack(tree, mods):
+    """Reference packer: the recursive preorder walk, with each module's
+    y the top of the highest placed module overlapping its x span."""
+    placed = {}
+
+    def place(name, x):
+        m = mods[name]
+        w, h = (m.height, m.width) if name in tree.rotated else (m.width, m.height)
+        y = max(
+            (r.y_hi for r in placed.values() if r.x_lo < x + w and r.x_hi > x),
+            default=0.0,
+        )
+        placed[name] = Rect.from_origin(x, y, w, h)
+        node = tree.nodes[name]
+        if node.left is not None:
+            place(node.left, x + w)
+        if node.right is not None:
+            place(node.right, x)
+
+    place(tree.root, 0.0)
+    return placed
+
+
+class TestIterativePacking:
+    """``pack_btree`` walks the tree on an explicit stack: the initial
+    left chain is as deep as the module count, so a recursive walk
+    raised RecursionError from about 1000 modules."""
+
+    def test_1200_module_initial_chain_packs(self):
+        import sys
+
+        n = 1200
+        mods = modules(n, seed=3)
+        limit = sys.getrecursionlimit()
+        # Far below the chain depth: any per-node recursion fails here.
+        sys.setrecursionlimit(500)
+        try:
+            fp = pack_btree(BStarTree.initial(list(mods)), mods)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(fp.placements) == n
+        assert fp.chip.width == sum(m.width for m in mods.values())
+        assert fp.chip.height == max(m.height for m in mods.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 2000), st.integers(0, 80))
+    def test_small_trees_match_recursive_preorder(self, n, seed, n_moves):
+        rng = random.Random(seed)
+        mods = modules(n, seed)
+        t = BStarTree.initial(list(mods), rng)
+        for _ in range(n_moves):
+            t = t.random_neighbor(rng)
+        expected = recursive_pack(t, mods)
+        got = pack_btree(t, mods).placements
+        assert list(got) == list(expected)
+        assert got == expected

@@ -8,7 +8,12 @@ out of the journal + snapshot alone.
 
 import pytest
 
-from repro.errors import JobNotFound, QuotaExceeded, ServiceError
+from repro.errors import (
+    JobNotFound,
+    JobValidationError,
+    QuotaExceeded,
+    ServiceError,
+)
 from repro.service import JobQueue, JobSpec
 from repro.service.journal import replay_journal
 from repro.testing.faults import InjectedFault, journal_write_crash
@@ -243,3 +248,40 @@ def test_compact_preserves_state_and_empties_journal(tmp_path, fast_spec):
     revived = JobQueue(tmp_path)
     # running -> queued recovery applies to snapshotted state too.
     assert revived.get(job.job_id).state == "queued"
+
+
+@pytest.mark.parametrize("legacy_backend", [None, "numpy"])
+def test_journal_with_legacy_backend_field_replays(
+    tmp_path, fast_spec, legacy_backend
+):
+    """Journals written while JobSpec still had a ``backend`` field
+    carry ``"backend": null`` in every submit record; they must still
+    replay after the field's removal."""
+    from repro.service.journal import JournalRecord, encode_record
+
+    queue = JobQueue(tmp_path)
+    job, _ = queue.submit(make_spec(fast_spec, idempotency_key="legacy"))
+    path = queue.journal_path
+    del queue
+    records, discarded = replay_journal(path)
+    assert discarded == 0 and [r.op for r in records] == ["submit"]
+    data = records[0].data
+    data["spec"]["backend"] = legacy_backend
+    path.write_text(encode_record(JournalRecord(records[0].seq, "submit", data)))
+
+    revived = JobQueue(tmp_path)
+    assert revived.replay_discarded == 0
+    replayed = revived.get(job.job_id)
+    assert replayed.state == "queued"
+    assert replayed.spec == job.spec
+    assert replayed.spec.content_hash() == job.spec.content_hash()
+    again, created = revived.submit(
+        make_spec(fast_spec, idempotency_key="legacy")
+    )
+    assert not created and again.job_id == job.job_id
+
+
+def test_legacy_backend_field_other_than_numpy_is_refused(fast_spec):
+    for name in ("python", "cuda"):
+        with pytest.raises(JobValidationError, match="backend"):
+            make_spec(fast_spec, backend=name)

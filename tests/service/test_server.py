@@ -94,6 +94,16 @@ def test_bad_spec_is_400(live, live_spec):
     assert "does not parse" in str(excinfo.value)
 
 
+def test_non_numpy_backend_is_400(live, live_spec):
+    # ``backend`` was removed from job specs; only the values old
+    # journals carry (null, "numpy") are still accepted.
+    _, client = live
+    with pytest.raises(Exception) as excinfo:
+        client.submit({**live_spec, "backend": "python"})
+    assert excinfo.value.status == 400
+    assert "unknown backend" in str(excinfo.value)
+
+
 def test_non_json_body_is_400(live):
     service, client = live
     conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)

@@ -142,17 +142,11 @@ class TestRegistryListing:
             assert name in out
         assert "Polish" in out  # descriptions, not just keys
 
-    def test_list_backends(self, capsys):
-        assert main(["floorplan", "--list-backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("numpy", "python"):
-            assert name in out
-
-    def test_all_three_at_once(self, capsys):
-        assert main(["floorplan", "--list-drivers", "--list-backends"]) == 0
+    def test_both_at_once(self, capsys):
+        assert main(["floorplan", "--list-drivers", "--list-reprs"]) == 0
         out = capsys.readouterr().out
         assert "multistart" in out
-        assert "numpy" in out
+        assert "btree" in out
 
     def test_no_circuit_and_no_flags_errors(self):
         with pytest.raises(SystemExit, match="circuit is required"):

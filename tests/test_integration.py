@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro import (
+    AnnealEngine,
     FixedGridModel,
-    FloorplanAnnealer,
     FloorplanObjective,
     IrregularGridModel,
     JudgingModel,
@@ -69,8 +69,9 @@ class TestFullPipeline:
                 )
             costs = []
             for seed in range(3):
-                annealer = FloorplanAnnealer(
+                engine = AnnealEngine(
                     circuit,
+                    representation="polish",
                     objective=obj,
                     seed=seed,
                     schedule=GeometricSchedule(
@@ -78,7 +79,7 @@ class TestFullPipeline:
                     ),
                     moves_per_temperature=40,
                 )
-                result = annealer.run()
+                result = engine.run()
                 costs.append(judge.judge(result.floorplan, circuit))
             return sum(costs) / len(costs)
 
@@ -131,14 +132,15 @@ class TestFullPipeline:
     def test_wirelength_decreases_under_wl_objective(self):
         circuit = load_mcnc("hp")
         obj = FloorplanObjective(circuit, alpha=0.2, beta=2.0, pin_grid_size=30.0)
-        annealer = FloorplanAnnealer(
+        engine = AnnealEngine(
             circuit,
+            representation="polish",
             objective=obj,
             seed=0,
             schedule=FAST,
             moves_per_temperature=30,
         )
-        result = annealer.run()
+        result = engine.run()
         first_wl = result.snapshots[0].breakdown.wirelength
         assert result.breakdown.wirelength <= first_wl * 1.001
 
