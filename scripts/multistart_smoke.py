@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Multi-start determinism + supervision smoke test (CI).
 
-Runs a small synthetic circuit through :class:`MultiStartEngine` twice
-with the same seeds -- once sequentially (``workers=1``) and once over a
-two-process pool (``workers=2``) -- and asserts the per-restart costs
-and the winning restart are bit-identical.  Because every restart owns a
+Runs a small synthetic circuit through the ``multistart`` search
+driver twice with the same seeds -- once sequentially (``workers=1``)
+and once over a two-process pool (``workers=2``) -- and asserts the
+per-restart costs and the winning restart are bit-identical.  Because every restart owns a
 fresh :class:`CacheContext` and caches are value-transparent, the pool
 must not change any result; a divergence means shared mutable state
 leaked between restarts.
@@ -28,7 +28,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import MultiStartEngine, ObjectiveSpec  # noqa: E402
+from repro.engine import (  # noqa: E402
+    DriverConfig,
+    ObjectiveSpec,
+    SearchDriver,
+    make_driver,
+)
 from repro.ioutil import atomic_write_json  # noqa: E402
 from repro.netlist import random_circuit  # noqa: E402
 from repro.testing import FaultSpec  # noqa: E402
@@ -50,21 +55,24 @@ def run_smoke(
         else None
     )
 
-    def engine(n_workers: int) -> MultiStartEngine:
-        return MultiStartEngine(
-            netlist,
-            representation=representation,
-            restarts=restarts,
-            seed=first_seed,
-            objective_spec=spec,
-            moves_per_temperature=30,
-            workers=n_workers,
-            inject_fault=fault if n_workers > 1 else None,
-            retry_backoff=0.0,
+    def driver(n_workers: int) -> SearchDriver:
+        return make_driver(
+            "multistart",
+            DriverConfig(
+                netlist,
+                representation=representation,
+                restarts=restarts,
+                seed=first_seed,
+                objective_spec=spec,
+                moves_per_temperature=30,
+                workers=n_workers,
+                inject_fault=fault if n_workers > 1 else None,
+                retry_backoff=0.0,
+            ),
         )
 
-    sequential = engine(1).run()
-    pooled = engine(workers).run()
+    sequential = driver(1).run()
+    pooled = driver(workers).run()
 
     seq_costs = [r.cost for r in sequential.results]
     pool_costs = [r.cost for r in pooled.results]

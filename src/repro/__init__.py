@@ -15,10 +15,10 @@ Quickstart::
 
 Best-of-N over seeds, optionally on a process pool::
 
-    from repro import MultiStartEngine
+    from repro.engine import DriverConfig, make_driver
 
-    multi = MultiStartEngine(circuit, restarts=4, workers=4)
-    best = multi.run().best
+    config = DriverConfig(circuit, restarts=4, workers=4)
+    best = make_driver("multistart", config).run().best
 
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
@@ -65,8 +65,6 @@ from repro.engine import (
     CacheContext,
     Checkpoint,
     EngineResult,
-    MultiStartEngine,
-    MultiStartResult,
     ObjectiveSpec,
     Representation,
     RunControl,
@@ -135,8 +133,6 @@ __all__ = [
     "AnnealEngine",
     "CacheContext",
     "EngineResult",
-    "MultiStartEngine",
-    "MultiStartResult",
     "ObjectiveSpec",
     "Representation",
     "available_representations",

@@ -405,6 +405,9 @@ def _cmd_list_registries(args) -> int:
 
 
 def _cmd_floorplan(args) -> int:
+    """Route a floorplan run to one of two lanes: the search-driver
+    lane for multi-job runs (``--restarts > 1`` or a non-default
+    ``--driver``), the engine lane for every single run."""
     if args.list_drivers or args.list_reprs:
         return _cmd_list_registries(args)
     if args.circuit is None and args.resume is None:
@@ -421,17 +424,30 @@ def _cmd_floorplan(args) -> int:
         raise SystemExit("error: --checkpoint-every must be >= 1")
     if args.metrics_every < 0:
         raise SystemExit("error: --metrics-every must be >= 0")
+    multi_job = args.driver != "multistart" or args.restarts > 1
+    if args.driver == "multistart":
+        if args.rounds is not None:
+            raise SystemExit(
+                "error: --rounds only applies to --driver tempering/portfolio"
+            )
+        if multi_job and (
+            args.checkpoint is not None or args.resume is not None
+        ):
+            raise SystemExit(
+                "error: --checkpoint/--resume support single runs only "
+                "(--restarts 1)"
+            )
+    netlist = None
+    grid_size = None
+    if args.circuit is not None:
+        netlist = _load_circuit(args.circuit)
+        grid_size = _grid_size_for(netlist, args.grid_size)
+    incremental = not args.no_incremental
     observer = _make_observer(args)
-    if args.driver != "multistart":
-        netlist = None
-        grid_size = None
-        if args.circuit is not None:
-            netlist = _load_circuit(args.circuit)
-            grid_size = _grid_size_for(netlist, args.grid_size)
+    if multi_job:
         result, judging_cost, netlist, outcome = _run_driver(
-            args, netlist, grid_size, not args.no_incremental, observer
+            args, netlist, grid_size, incremental, observer
         )
-        floorplan = result.floorplan
         b = result.breakdown
         print(
             f"{netlist.name} [{args.driver}/{result.representation}, "
@@ -442,55 +458,10 @@ def _cmd_floorplan(args) -> int:
         perf, cache_stats = _merged_perf_view(
             outcome, result.perf, result.cache_stats
         )
-        moves_per_second = result.moves_per_second
-        n_moves = result.n_moves
-        _finish_observer(args, observer)
-        return _floorplan_outputs(
-            args, netlist, floorplan, perf, moves_per_second, n_moves,
-            cache_stats,
-        )
-    if args.rounds is not None:
-        raise SystemExit(
-            "error: --rounds only applies to --driver tempering/portfolio"
-        )
-    if args.circuit is None:
-        raise SystemExit("error: a circuit is required")
-    netlist = _load_circuit(args.circuit)
-    grid_size = _grid_size_for(netlist, args.grid_size)
-    incremental = not args.no_incremental
-    fault_tolerant = (
-        args.checkpoint is not None
-        or args.resume is not None
-        or args.deadline is not None
-    )
-    if args.restarts > 1:
-        if args.checkpoint is not None or args.resume is not None:
-            raise SystemExit(
-                "error: --checkpoint/--resume support single runs only "
-                "(--restarts 1)"
-            )
-        result, judging_cost, outcome = _run_multistart(
-            args, netlist, grid_size, incremental, observer
-        )
-        floorplan = result.floorplan
-        b = result.breakdown
-        print(
-            f"{netlist.name} [{args.representation}, best of "
-            f"{args.restarts}, seed {result.seed}]: "
-            f"area {b.area / 1e6:.4g} mm^2, "
-            f"wirelength {b.wirelength:.0f} um, congestion {b.congestion:.4g}, "
-            f"judge {judging_cost:.4g}, {result.runtime_seconds:.1f} s"
-        )
-        perf, cache_stats = _merged_perf_view(
-            outcome, result.perf, result.cache_stats
-        )
-        moves_per_second = result.moves_per_second
-        n_moves = result.n_moves
-    elif fault_tolerant or observer is not None:
+    else:
         result, judging_cost, netlist = _run_single_controlled(
             args, netlist, grid_size, incremental, observer
         )
-        floorplan = result.floorplan
         b = result.breakdown
         status = (
             "" if result.completed else f", stopped early ({result.stop_reason})"
@@ -501,32 +472,11 @@ def _cmd_floorplan(args) -> int:
             f"wirelength {b.wirelength:.0f} um, congestion {b.congestion:.4g}, "
             f"judge {judging_cost:.4g}, {result.runtime_seconds:.1f} s{status}"
         )
-        perf = result.perf
-        moves_per_second = result.moves_per_second
-        n_moves = result.n_moves
-        cache_stats = result.cache_stats
-    else:
-        objective = _build_objective(args, netlist, grid_size, incremental)
-        record = run_once(
-            netlist,
-            objective,
-            seed=args.seed,
-            representation=args.representation,
-        )
-        floorplan = record.floorplan
-        b = record.result.breakdown
-        print(
-            f"{netlist.name}: area {record.area_mm2:.4g} mm^2, "
-            f"wirelength {b.wirelength:.0f} um, congestion {b.congestion:.4g}, "
-            f"judge {record.judging_cost:.4g}, {record.runtime_seconds:.1f} s"
-        )
-        perf = record.result.perf
-        moves_per_second = record.result.moves_per_second
-        n_moves = record.result.n_moves
-        cache_stats = record.result.cache_stats
+        perf, cache_stats = result.perf, result.cache_stats
     _finish_observer(args, observer)
     return _floorplan_outputs(
-        args, netlist, floorplan, perf, moves_per_second, n_moves, cache_stats
+        args, netlist, result.floorplan, perf, result.moves_per_second,
+        result.n_moves, cache_stats,
     )
 
 
@@ -539,19 +489,6 @@ def _make_observer(args):
 
     tracer = Tracer(args.trace) if args.trace is not None else None
     return RunObserver(tracer=tracer, progress_every=args.metrics_every)
-
-
-def _obs_plan_for(observer):
-    """The picklable worker-side recipe matching a coordinator
-    observer (None when snapshot sampling is off)."""
-    if observer is None or observer.progress_every <= 0:
-        return None
-    from repro.obs import ObsPlan
-
-    return ObsPlan(
-        progress_every=observer.progress_every,
-        top_k=observer.progress_top_k,
-    )
 
 
 def _run_span(observer, **attrs):
@@ -615,28 +552,6 @@ def _floorplan_outputs(
     return 0
 
 
-def _build_objective(args, netlist, grid_size, incremental) -> FloorplanObjective:
-    if args.gamma > 0:
-        return FloorplanObjective(
-            netlist,
-            alpha=1.0,
-            beta=1.0,
-            gamma=args.gamma,
-            congestion_model=IrregularGridModel(
-                grid_size, use_cache=incremental
-            ),
-            incremental=incremental,
-        )
-    return FloorplanObjective(
-        netlist,
-        alpha=1.0,
-        beta=1.0,
-        gamma=0.0,
-        pin_grid_size=grid_size,
-        incremental=incremental,
-    )
-
-
 def _objective_spec(args, grid_size, incremental):
     from repro.engine import ObjectiveSpec
 
@@ -654,6 +569,7 @@ def _run_single_controlled(args, netlist, grid_size, incremental, observer=None)
     """One annealing run under a RunControl: checkpointing, resume,
     deadline, graceful Ctrl-C, and (with ``--trace``) tracing."""
     from repro.engine import AnnealEngine, RunControl, install_signal_handlers
+    from repro.errors import CheckpointError
     from repro.experiments.runner import judge_floorplan
 
     checkpoint_path = args.checkpoint
@@ -667,7 +583,10 @@ def _run_single_controlled(args, netlist, grid_size, incremental, observer=None)
         checkpoint_every=args.checkpoint_every,
     )
     if args.resume is not None:
-        engine = AnnealEngine.resume(args.resume)
+        try:
+            engine = AnnealEngine.resume(args.resume)
+        except CheckpointError as exc:
+            raise SystemExit(f"error: {exc}") from None
         netlist = engine.netlist
         print(f"resuming from {args.resume}")
     else:
@@ -697,49 +616,9 @@ def _run_single_controlled(args, netlist, grid_size, incremental, observer=None)
     return result, judging_cost, netlist
 
 
-def _run_multistart(args, netlist, grid_size, incremental, observer=None):
-    from repro.engine import (
-        MultiStartEngine,
-        RunControl,
-        install_signal_handlers,
-    )
-    from repro.experiments.runner import judge_floorplan
-
-    profile = active_profile()
-    multi = MultiStartEngine(
-        netlist,
-        representation=args.representation,
-        restarts=args.restarts,
-        seed=args.seed,
-        objective_spec=_objective_spec(args, grid_size, incremental),
-        moves_per_temperature=profile.moves_per_temperature(netlist.n_modules),
-        schedule=profile.schedule(),
-        workers=args.workers,
-        obs_plan=_obs_plan_for(observer),
-    )
-    control = RunControl(deadline_seconds=args.deadline)
-    span = _run_span(
-        observer, circuit=netlist.name, driver="multistart",
-        representation=args.representation, restarts=args.restarts,
-    )
-    with install_signal_handlers(control), span:
-        outcome = multi.run(control=control, observer=observer)
-    costs = ", ".join(f"{r.seed}: {r.cost:.4g}" for r in outcome.results)
-    print(f"restart costs ({outcome.workers} worker(s)): {costs}")
-    for report in outcome.reports:
-        if report.failures or report.status != "ok":
-            print(f"  {report.summary()}")
-    if outcome.degraded:
-        print(
-            f"  (pool unhealthy after {outcome.pool_rebuilds} rebuild(s); "
-            f"remaining restarts ran sequentially)"
-        )
-    judging_cost = judge_floorplan(outcome.best.floorplan, netlist, 10.0)
-    return outcome.best, judging_cost, outcome
-
-
 def _run_driver(args, netlist, grid_size, incremental, observer=None):
-    """Run (or resume) a tempering/portfolio search driver."""
+    """Run (or resume) a search driver: every multi-job run, best-of-N
+    restarts included."""
     from dataclasses import replace
 
     from repro.engine import (
@@ -749,13 +628,17 @@ def _run_driver(args, netlist, grid_size, incremental, observer=None):
         make_driver,
         resume_driver,
     )
+    from repro.errors import CheckpointError
     from repro.experiments.runner import judge_floorplan
 
     control = RunControl(deadline_seconds=args.deadline)
     if args.resume is not None:
-        driver, state = resume_driver(
-            args.resume, workers=args.workers, rounds=args.rounds
-        )
+        try:
+            driver, state = resume_driver(
+                args.resume, workers=args.workers, rounds=args.rounds
+            )
+        except CheckpointError as exc:
+            raise SystemExit(f"error: {exc}") from None
         if driver.name != args.driver:
             raise SystemExit(
                 f"error: {args.resume} is a {driver.name!r} checkpoint; "

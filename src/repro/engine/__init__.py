@@ -20,16 +20,12 @@ One engine, four layers:
    all sequential-vs-pool bit-identical and resumable from
    round-granularity driver checkpoints.
 
-The historical per-representation annealer classes in
-:mod:`repro.anneal` remain as deprecated shims over
-:class:`AnnealEngine`.
-
 Fault tolerance rides on top of all four layers:
 :class:`~repro.engine.control.RunControl` (cooperative stop, deadline,
 checkpoint policy) with :func:`~repro.engine.control.install_signal_handlers`
 for SIGINT/SIGTERM, atomic checkpoints and bit-identical
 :meth:`AnnealEngine.resume` (:mod:`repro.engine.checkpoint`), and the
-multistart supervisor's per-restart :class:`RunReport` ledger.
+drivers' per-job :class:`RunReport` ledger.
 """
 
 from repro.engine.checkpoint import (
@@ -56,13 +52,7 @@ from repro.engine.drivers import (
     resume_driver,
 )
 from repro.engine.engine import AnnealEngine, EngineResult, ObjectiveFactory
-from repro.engine.multistart import (
-    MultiStartEngine,
-    MultiStartResult,
-    ObjectiveSpec,
-    RestartFailure,
-    RunReport,
-)
+from repro.engine.multistart import ObjectiveSpec, RestartFailure, RunReport
 from repro.engine.portfolio import PortfolioDriver
 from repro.engine.representation import (
     Representation,
@@ -80,8 +70,6 @@ __all__ = [
     "AnnealEngine",
     "EngineResult",
     "ObjectiveFactory",
-    "MultiStartEngine",
-    "MultiStartResult",
     "ObjectiveSpec",
     "RestartFailure",
     "RunReport",

@@ -1,19 +1,15 @@
 """Search drivers: strategies that schedule many annealing runs.
 
-PR 3 gave the repo *one* way to spend N annealing runs: independent
-best-of-N restarts (:class:`~repro.engine.multistart.MultiStartEngine`).
-This module generalizes that into a **search-driver layer**: a driver
-is a strategy for scheduling supervised annealing jobs -- which jobs to
-run, with what state, and what to do between rounds -- behind one
-protocol and one string-keyed registry, mirroring the representation
-registry.
+This module is the **search-driver layer**: a driver is a strategy for
+scheduling supervised annealing jobs -- which jobs to run, with what
+state, and what to do between rounds -- behind one protocol and one
+string-keyed registry, mirroring the representation registry.
 
 Built-in drivers:
 
 ``multistart``
     Independent best-of-N restarts over consecutive seeds.  The
-    default; byte-for-byte the PR 3 behavior (it delegates to
-    :class:`MultiStartEngine`).
+    default; see :class:`MultiStartDriver`.
 ``tempering``
     Replica-exchange (parallel tempering): K replicas anneal at fixed
     rungs of a geometric temperature ladder and deterministically
@@ -62,11 +58,9 @@ from repro.engine.checkpoint import (
     save_driver_checkpoint,
 )
 from repro.engine.engine import EngineResult
-from repro.engine.multistart import (
-    MultiStartEngine,
-    ObjectiveSpec,
-    RunReport,
-)
+from repro.engine.multistart import ObjectiveSpec, RunReport, _run_restart
+from repro.engine.supervise import SupervisedRunner
+from repro.errors import WorkerFailure
 from repro.netlist import Netlist
 
 __all__ = [
@@ -182,8 +176,7 @@ class DriverConfig:
 class SearchResult:
     """What any search driver returns: winner, field, and ledgers.
 
-    A superset of :class:`~repro.engine.multistart.MultiStartResult`
-    labelled with the driver that produced it.  ``ledger`` carries the
+    ``driver`` names the driver that produced it.  ``ledger`` carries the
     driver's scheduling decisions in JSON-friendly form -- swap
     proposals and outcomes for tempering, per-round slot allocations
     and migrations for the portfolio, empty for multistart -- so runs
@@ -383,57 +376,106 @@ def resume_driver(
 
 
 class MultiStartDriver(SearchDriver):
-    """Independent best-of-N restarts -- the PR 3 default, unchanged.
+    """Independent best-of-N restarts over seeds ``seed .. seed +
+    restarts - 1`` -- the default driver.
 
-    Delegates wholesale to :class:`MultiStartEngine`; results are
-    bit-identical to calling the engine directly, so existing callers
-    and the CLI default keep their exact behavior.  Multistart has no
-    cross-job scheduling state, so it takes no driver checkpoints
-    (engine-level checkpointing of single runs is unaffected) and
-    refuses ``resume_state``.
+    Every restart is one :func:`~repro.engine.multistart._run_restart`
+    job under :class:`~repro.engine.supervise.SupervisedRunner`: a
+    crashed or hung pool worker is retried (``max_retries``, with
+    exponential backoff), the pool is rebuilt at most
+    ``max_pool_rebuilds`` times, and then the remaining seeds run
+    sequentially.  :class:`~repro.errors.WorkerFailure` is raised only
+    when not a single restart succeeds.  The winner is the lowest cost,
+    ties broken by lowest seed, so pooled and sequential runs agree.
+
+    Multistart has no cross-job scheduling state, so it takes no driver
+    checkpoints (engine-level checkpointing of single runs is
+    unaffected) and refuses ``resume_state``.
     """
 
     name = "multistart"
 
     def run(self, control=None, resume_state=None, observer=None) -> SearchResult:
-        """Run best-of-N restarts and wrap the result as a
-        :class:`SearchResult`; bit-identical to the engine."""
+        """Run every restart under supervision and return best-of-N.
+
+        ``control`` (a :class:`~repro.engine.control.RunControl`)
+        enables cooperative stop: pending restarts are skipped, the
+        in-flight sequential restart winds down with best-so-far, and
+        whatever finished is still ranked and returned.
+
+        ``observer`` receives supervision incidents as they happen and,
+        per delivered restart, a ``restart_complete`` event plus the
+        worker's progress snapshots and metrics (folded via
+        ``merge_result``).
+        """
         if resume_state is not None:
             raise ValueError(
                 "multistart has no driver-level schedule to resume; "
                 "use engine checkpoints for single runs"
             )
         cfg = self.config
-        engine = MultiStartEngine(
-            cfg.netlist,
-            representation=cfg.representation,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
-            objective_spec=cfg.objective_spec,
-            moves_per_temperature=cfg.moves_per_temperature,
-            schedule=cfg.schedule,
-            calibrate=cfg.calibrate,
-            workers=cfg.workers,
-            restart_timeout=cfg.restart_timeout,
+        spec = cfg.spec()
+        obs_plan = cfg.obs_plan()
+        seeds = [cfg.seed + i for i in range(cfg.restarts)]
+        reports = {s: RunReport(seed=s) for s in seeds}
+        results: Dict[int, EngineResult] = {}
+        runner = SupervisedRunner(
+            _run_restart,
+            lambda seed, attempt, mode: (
+                cfg.netlist,
+                cfg.representation,
+                spec,
+                seed,
+                cfg.moves_per_temperature,
+                cfg.schedule,
+                cfg.calibrate,
+                obs_plan,
+                attempt,
+                mode,
+                cfg.inject_fault,
+            ),
+            timeout=cfg.restart_timeout,
             max_retries=cfg.max_retries,
             retry_backoff=cfg.retry_backoff,
             max_pool_rebuilds=cfg.max_pool_rebuilds,
-            inject_fault=cfg.inject_fault,
-            obs_plan=cfg.obs_plan(),
+            observer=observer,
         )
-        result = engine.run(control=control, observer=observer)
+        workers = min(cfg.workers, cfg.restarts)
+        rebuilds, degraded = runner.run(
+            seeds, workers, reports, results, control
+        )
         stopped = control is not None and control.stop_requested
+        for s in seeds:
+            if s not in results and reports[s].status == "pending":
+                reports[s].status = "skipped" if stopped else "failed"
+        for s in seeds:
+            if s in results:
+                reports[s].attach_result(results[s])
+                if observer is not None:
+                    observer.merge_result(results[s], seed=s)
+                    observer.event(
+                        "restart_complete",
+                        seed=s,
+                        cost=results[s].cost,
+                        n_moves=results[s].n_moves,
+                        representation=results[s].representation,
+                    )
+        if not results:
+            raise WorkerFailure(
+                "every restart failed: "
+                + "; ".join(reports[s].summary() for s in seeds)
+            )
+        ordered = [results[s] for s in seeds if s in results]
         return SearchResult(
             driver=self.name,
-            best=result.best,
-            results=result.results,
-            workers=result.workers,
-            reports=result.reports,
-            degraded=result.degraded,
-            pool_rebuilds=result.pool_rebuilds,
+            best=min(ordered, key=lambda r: (r.cost, r.seed)),
+            results=ordered,
+            workers=workers,
+            reports=[reports[s] for s in seeds],
+            degraded=degraded,
+            pool_rebuilds=rebuilds,
             completed=not stopped,
             stop_reason=control.should_stop() if stopped else None,
-            ledger={},
         )
 
 

@@ -57,8 +57,9 @@ class CheckpointError(ReproError, RuntimeError):
 class WorkerFailure(ReproError, RuntimeError):
     """A supervised restart (or the whole multi-start run) failed.
 
-    Raised by :class:`~repro.engine.multistart.MultiStartEngine` only
-    when *no* restart produced a result; individual restart failures
+    Raised by the search drivers (e.g.
+    :class:`~repro.engine.drivers.MultiStartDriver`) only when *no*
+    job produced a result; individual job failures
     are recorded in the run's
     :class:`~repro.engine.multistart.RunReport` list instead.
     """

@@ -13,9 +13,8 @@ against:
 
 * :class:`FaultSpec` -- process-level faults inside a multistart
   restart (``os._exit`` crash, hang, raised exception), shipped
-  picklable into pool workers via
-  :class:`~repro.engine.multistart.MultiStartEngine`'s
-  ``inject_fault`` hook;
+  picklable into pool workers via the search drivers'
+  :attr:`~repro.engine.drivers.DriverConfig.inject_fault` hook;
 * :class:`FaultyObjective` -- an objective wrapper that raises
   :class:`InjectedFault` at evaluation N, simulating a mid-anneal
   crash between two checkpoints;

@@ -94,24 +94,6 @@ class TestRegistry:
 
 
 class TestMultiStartDriver:
-    def test_matches_engine_exactly(self, netlist):
-        from repro.engine import MultiStartEngine
-
-        config = _config(netlist)
-        driver_result = make_driver("multistart", config).run()
-        engine_result = MultiStartEngine(
-            netlist,
-            restarts=config.restarts,
-            seed=config.seed,
-            objective_spec=config.objective_spec,
-            moves_per_temperature=config.moves_per_temperature,
-            schedule=config.schedule,
-        ).run()
-        assert driver_result.driver == "multistart"
-        assert driver_result.best_cost == engine_result.best_cost
-        assert driver_result.costs == engine_result.costs
-        assert driver_result.ledger == {}
-
     def test_refuses_resume_state(self, netlist):
         with pytest.raises(ValueError, match="no driver-level schedule"):
             make_driver("multistart", _config(netlist)).run(

@@ -11,9 +11,10 @@ import pytest
 from repro.anneal.schedule import GeometricSchedule
 from repro.engine import (
     AnnealEngine,
-    MultiStartEngine,
-    MultiStartResult,
+    DriverConfig,
     ObjectiveSpec,
+    SearchResult,
+    make_driver,
 )
 from repro.netlist import random_circuit
 
@@ -25,14 +26,16 @@ def _multi(netlist, **kwargs):
     kwargs.setdefault("seed", 20)
     kwargs.setdefault("moves_per_temperature", 3 * netlist.n_modules)
     kwargs.setdefault("schedule", SHORT)
-    return MultiStartEngine(netlist, **kwargs)
+    return make_driver("multistart", DriverConfig(netlist, **kwargs))
 
 
 class TestMultiStart:
     def test_runs_distinct_seeds_and_picks_min(self):
         netlist = random_circuit(8, 20, seed=12)
         outcome = _multi(netlist).run()
-        assert isinstance(outcome, MultiStartResult)
+        assert isinstance(outcome, SearchResult)
+        assert outcome.driver == "multistart"
+        assert outcome.ledger == {}
         assert [r.seed for r in outcome.results] == [20, 21, 22]
         assert outcome.best_cost == min(outcome.costs)
         assert outcome.best.cost == outcome.best_cost
@@ -88,6 +91,6 @@ class TestMultiStart:
     def test_rejects_bad_counts(self):
         netlist = random_circuit(4, 8, seed=18)
         with pytest.raises(ValueError):
-            MultiStartEngine(netlist, restarts=0)
+            _multi(netlist, restarts=0)
         with pytest.raises(ValueError):
-            MultiStartEngine(netlist, workers=0)
+            _multi(netlist, workers=0)

@@ -4,8 +4,7 @@ Progress snapshots and metrics registries are collected inside worker
 processes, ride home as plain data on :class:`EngineResult`, and merge
 into the coordinator's observer -- identically whether restarts run
 sequentially or on a process pool.  The same seam now also carries
-per-restart cache statistics and JIT compile time into
-:class:`RunReport`, fixing the old behavior where ``--perf`` tables
+per-restart cache statistics into :class:`RunReport`, fixing the old behavior where ``--perf`` tables
 silently dropped everything measured in workers.
 """
 
@@ -16,7 +15,6 @@ import pytest
 from repro.anneal import GeometricSchedule
 from repro.engine import (
     DriverConfig,
-    MultiStartEngine,
     ObjectiveSpec,
     RunReport,
     make_driver,
@@ -42,17 +40,21 @@ _SCHEDULE = GeometricSchedule(
 )
 
 
-def _multistart(netlist, workers, obs_plan):
-    return MultiStartEngine(
-        netlist,
-        representation="polish",
-        restarts=3,
-        seed=1,
-        objective_spec=_SPEC,
-        moves_per_temperature=35,
-        schedule=_SCHEDULE,
-        workers=workers,
-        obs_plan=obs_plan,
+def _multistart(netlist, workers, progress_every=0, top_k=3):
+    return make_driver(
+        "multistart",
+        DriverConfig(
+            netlist,
+            representation="polish",
+            restarts=3,
+            seed=1,
+            objective_spec=_SPEC,
+            moves_per_temperature=35,
+            schedule=_SCHEDULE,
+            workers=workers,
+            progress_every=progress_every,
+            progress_top_k=top_k,
+        ),
     )
 
 
@@ -142,15 +144,14 @@ class TestWorkerStreaming:
     def test_snapshots_reach_coordinator_pool_and_sequential(
         self, netlist, tmp_path
     ):
-        plan = ObsPlan(progress_every=2, top_k=2)
         outcomes = {}
         for workers in (1, 2):
             observer = RunObserver(
                 tracer=Tracer(tmp_path / f"w{workers}.jsonl")
             )
-            outcome = _multistart(netlist, workers, plan).run(
-                observer=observer
-            )
+            outcome = _multistart(
+                netlist, workers, progress_every=2, top_k=2
+            ).run(observer=observer)
             observer.finalize()
             outcomes[workers] = (outcome, observer)
 
@@ -188,7 +189,7 @@ class TestWorkerStreaming:
         )
 
     def test_reports_carry_cache_stats(self, netlist):
-        outcome = _multistart(netlist, 2, None).run()
+        outcome = _multistart(netlist, 2).run()
         for report in outcome.reports:
             assert report.status == "ok"
             assert report.cache_stats  # measured inside the worker

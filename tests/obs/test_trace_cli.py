@@ -48,8 +48,8 @@ def test_traced_run_matches_untraced(circuit_path, tmp_path, capsys):
     )
     traced = capsys.readouterr().out
     assert f"wrote trace to {trace}" in traced
-    # Same best result either way (formats differ: the traced path
-    # reports through the engine, which also names the representation).
+    # Same best result either way (the result lines differ only in
+    # their wall clock).
     untraced_cost = untraced.split("judge ")[1].split(",")[0]
     traced_cost = traced.split("judge ")[1].split(",")[0]
     assert traced_cost == untraced_cost

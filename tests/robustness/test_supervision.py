@@ -9,12 +9,13 @@ the recovered run is *bit-identical* to an unfaulted sequential run.
 
 import pytest
 
-import repro.engine.multistart as multistart_mod
+import repro.engine.drivers as drivers_mod
 from repro.anneal.schedule import GeometricSchedule
 from repro.engine import (
-    MultiStartEngine,
+    DriverConfig,
     ObjectiveSpec,
     RunControl,
+    make_driver,
 )
 from repro.errors import WorkerFailure
 from repro.netlist import random_circuit
@@ -32,7 +33,7 @@ def _multi(netlist, **kwargs):
     kwargs.setdefault("moves_per_temperature", 3 * netlist.n_modules)
     kwargs.setdefault("schedule", SHORT)
     kwargs.setdefault("retry_backoff", 0.0)
-    return MultiStartEngine(netlist, **kwargs)
+    return make_driver("multistart", DriverConfig(netlist, **kwargs))
 
 
 @pytest.fixture(scope="module")
@@ -117,24 +118,24 @@ class TestSequentialSupervision:
 
     def test_all_attempts_failing_raises_workerfailure(self, netlist):
         fault = FaultSpec(kind="raise", seed=SEED, attempt=0, mode="sequential")
-        engine = _multi(
+        driver = _multi(
             netlist, restarts=1, max_retries=0, inject_fault=fault
         )
         with pytest.raises(WorkerFailure, match="every restart failed"):
-            engine.run()
+            driver.run()
 
     def test_stop_between_restarts_skips_the_rest(
         self, netlist, baseline, monkeypatch
     ):
         control = RunControl()
-        real = multistart_mod._run_restart
+        real = drivers_mod._run_restart
 
         def stop_after_first(*args, **kwargs):
             result = real(*args, **kwargs)
             control.request_stop("supervisor")
             return result
 
-        monkeypatch.setattr(multistart_mod, "_run_restart", stop_after_first)
+        monkeypatch.setattr(drivers_mod, "_run_restart", stop_after_first)
         outcome = _multi(netlist, restarts=3).run(control=control)
 
         assert len(outcome.results) == 1

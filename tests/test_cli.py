@@ -213,6 +213,151 @@ class TestDriverCli:
         assert "[portfolio/" in capsys.readouterr().out
 
 
+class TestFloorplanLanes:
+    """``floorplan`` runs through two lanes: the search-driver lane for
+    multi-job runs and the engine lane for single runs.  Both must give
+    exactly what the library gives for the same spec, profile and seed."""
+
+    GRID = 30.0
+
+    def _circuit(self, tmp_path):
+        target = tmp_path / "c.yal"
+        main(["generate", str(target), "--modules", "6", "--nets", "10"])
+        return target
+
+    def _spec(self):
+        from repro.engine import ObjectiveSpec
+
+        return ObjectiveSpec(gamma=1.0, congestion_grid_size=self.GRID)
+
+    def _cli_placement(self, circuit, tmp_path, *extra):
+        place = tmp_path / "cli.place"
+        assert main(
+            [
+                "floorplan", str(circuit), "--seed", "2",
+                "--gamma", "1", "--grid-size", str(self.GRID),
+                "--save-placement", str(place), *extra,
+            ]
+        ) == 0
+        return place.read_text()
+
+    def test_default_driver_restarts(self, tmp_path, capsys):
+        circuit = self._circuit(tmp_path)
+        assert main(["floorplan", str(circuit), "--restarts", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "multistart costs (1 worker(s)):" in out
+        assert "[multistart/polish, seed " in out
+
+    def test_restarts_refuse_checkpoint(self, tmp_path):
+        circuit = self._circuit(tmp_path)
+        with pytest.raises(SystemExit, match="single runs only"):
+            main(
+                [
+                    "floorplan", str(circuit), "--restarts", "2",
+                    "--checkpoint", str(tmp_path / "run.ckpt"),
+                ]
+            )
+
+    def test_single_run_matches_engine(self, tmp_path):
+        from repro.data import dumps_placement, read_yal
+        from repro.engine import AnnealEngine
+        from repro.experiments.config import active_profile
+
+        circuit = self._circuit(tmp_path)
+        cli = self._cli_placement(circuit, tmp_path)
+        netlist = read_yal(circuit)
+        profile = active_profile()
+        result = AnnealEngine(
+            netlist,
+            objective_spec=self._spec(),
+            seed=2,
+            moves_per_temperature=profile.moves_per_temperature(
+                netlist.n_modules
+            ),
+            schedule=profile.schedule(),
+        ).run()
+        assert cli == dumps_placement(result.floorplan, netlist.name)
+
+    def test_restarts_match_multistart_driver(self, tmp_path):
+        from repro.data import dumps_placement, read_yal
+        from repro.engine import DriverConfig, make_driver
+        from repro.experiments.config import active_profile
+
+        circuit = self._circuit(tmp_path)
+        cli = self._cli_placement(circuit, tmp_path, "--restarts", "2")
+        netlist = read_yal(circuit)
+        profile = active_profile()
+        best = make_driver(
+            "multistart",
+            DriverConfig(
+                netlist,
+                restarts=2,
+                seed=2,
+                objective_spec=self._spec(),
+                moves_per_temperature=profile.moves_per_temperature(
+                    netlist.n_modules
+                ),
+                schedule=profile.schedule(),
+            ),
+        ).run().best
+        assert cli == dumps_placement(best.floorplan, netlist.name)
+
+    def test_resume_needs_no_circuit(self, tmp_path, capsys):
+        circuit = self._circuit(tmp_path)
+        ckpt = tmp_path / "run.ckpt"
+        straight = self._cli_placement(circuit, tmp_path)
+        assert main(
+            [
+                "floorplan", str(circuit), "--seed", "2",
+                "--gamma", "1", "--grid-size", str(self.GRID),
+                "--checkpoint", str(ckpt), "--deadline", "1e-9",
+            ]
+        ) == 0
+        assert "stopped early (deadline)" in capsys.readouterr().out
+        place = tmp_path / "resumed.place"
+        assert main(
+            [
+                "floorplan", "--resume", str(ckpt),
+                "--save-placement", str(place),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"resuming from {ckpt}" in out
+        assert "stopped early" not in out
+        assert place.read_text() == straight
+
+    def test_engine_checkpoint_refused_by_driver_resume(self, tmp_path):
+        circuit = self._circuit(tmp_path)
+        ckpt = tmp_path / "run.ckpt"
+        assert main(
+            ["floorplan", str(circuit), "--checkpoint", str(ckpt)]
+        ) == 0
+        with pytest.raises(
+            SystemExit, match="error: .* is not a repro driver checkpoint"
+        ):
+            main(
+                [
+                    "floorplan", "--resume", str(ckpt),
+                    "--driver", "tempering",
+                ]
+            )
+
+    def test_driver_checkpoint_refused_by_single_resume(self, tmp_path):
+        circuit = self._circuit(tmp_path)
+        ckpt = tmp_path / "drv.ckpt"
+        assert main(
+            [
+                "floorplan", str(circuit), "--driver", "tempering",
+                "--restarts", "2", "--rounds", "1",
+                "--checkpoint", str(ckpt),
+            ]
+        ) == 0
+        with pytest.raises(
+            SystemExit, match="error: .* is a search-driver checkpoint"
+        ):
+            main(["floorplan", "--resume", str(ckpt)])
+
+
 class TestServiceCommands:
     def _circuit(self, tmp_path):
         target = tmp_path / "c.yal"
