@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Congestion-evaluation scaling benchmark: 300/1000-module sweeps.
+"""Congestion-evaluation scaling benchmark: 300 to 5000-module sweeps.
 
 PR 9's question: after the committed-grid ledger makes congestion
 re-estimation O(dirty), where do the remaining O(n) terms dominate as
@@ -12,12 +12,12 @@ incremental pipeline:
 * ``ledger off``: ``use_ledger=False`` -- every evaluation rebuilds the
   mass from scratch through the (also vectorized) full batch path.
 
-Both runs use the sequence-pair representation: slicing-tree packing
-recurses per module and overflows CPython's default recursion limit
-near 1000 modules, while sequence-pair packing is iterative.  The
-schedules are move-count-identical, so moves/sec is comparable even if
-the walks diverge by float dust; correctness is gated by a short
-strict-mode replay (``strict_incremental=True`` re-runs the full
+Both runs use the sequence-pair representation, the general
+(non-slicing) floorplanner that FAST-SP packs in O(m log m), so the
+sweep shows which phase dominates once packing is no longer the wall.
+The schedules are move-count-identical, so moves/sec is comparable
+even if the walks diverge by float dust; correctness is gated by a
+short strict-mode replay (``strict_incremental=True`` re-runs the full
 object pipeline after every delta evaluation and asserts agreement to
 1e-12) plus counter gates (the ledger delta path must actually fire),
 never by wall-clock.
@@ -31,9 +31,10 @@ Results go to ``BENCH_congestion.json`` (see ``--out``)::
                     "dominant_phase": "packing", ...}, ...],
      "strict_ok": true, "ledger_fired": true}
 
-``--smoke`` runs the 300-module workload on a reduced schedule and
-exits non-zero when the strict replay or a counter gate fails --
-cheap enough for CI and timing-robust.
+The full run adds 1000/2000/5000-module workloads (4 nets per
+module).  ``--smoke`` runs the 300-module workload on a reduced
+schedule and exits non-zero when the strict replay or a counter gate
+fails -- cheap enough for CI and timing-robust.
 """
 
 from __future__ import annotations
@@ -214,7 +215,11 @@ def main(argv=None) -> int:
 
     workloads = [("n300", 300, 1200)]
     if not args.smoke:
-        workloads.append(("n1000", 1000, 4000))
+        workloads += [
+            ("n1000", 1000, 4000),
+            ("n2000", 2000, 8000),
+            ("n5000", 5000, 20000),
+        ]
     rows = [
         bench_workload(name, m, n, smoke=args.smoke)
         for name, m, n in workloads

@@ -11,7 +11,8 @@ binary tree over modules where
 Packing walks the tree in DFS order maintaining a *contour* -- the
 skyline of placed modules -- so each module drops to the lowest legal
 y at its x position.  B*-trees reach exactly the admissible compacted
-placements, and packing is O(m) amortized per walk.
+placements.  The contour is a bisect-indexed step list, so packing is
+O(m log m) plus the in-place list splices.
 
 The perturbation set mirrors the literature: rotate a module, move a
 node to a new parent, and swap two nodes.  Annealed through
@@ -22,6 +23,7 @@ gives the congestion model a third host floorplanner.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -172,6 +174,14 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
     DFS preorder; left children go right of their parent, right
     children share their parent's x.  Each module's y is the maximum
     contour height over its x span; the contour is then raised.
+
+    The contour is two parallel lists: step ``i`` has height ``hs[i]``
+    from ``xs[i]`` up to ``xs[i + 1]`` (the last step runs on forever).
+    ``xs`` starts at 0.0 and is strictly increasing, consecutive steps
+    at least 1e-12 apart (module widths are assumed to be at least
+    that, a picometre).  A module over ``[x, x + w)`` bisects to the
+    steps it covers and scans only those; the raise replaces them with
+    at most three steps, so the scan is amortized O(1).
     """
     dims: Dict[str, Tuple[float, float]] = {}
     for name in tree.nodes:
@@ -184,55 +194,9 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
         else:
             dims[name] = (m.width, m.height)
 
-    # Contour as a sorted list of (x, height) steps; height applies
-    # from this x to the next step's x.
-    contour: List[Tuple[float, float]] = [(0.0, 0.0)]
+    xs: List[float] = [0.0]
+    hs: List[float] = [0.0]
     placements: Dict[str, Rect] = {}
-
-    def contour_max(x_lo: float, x_hi: float) -> float:
-        top = 0.0
-        for i, (x, h) in enumerate(contour):
-            seg_end = contour[i + 1][0] if i + 1 < len(contour) else float("inf")
-            if x < x_hi and seg_end > x_lo:
-                top = max(top, h)
-        return top
-
-    def contour_raise(x_lo: float, x_hi: float, new_h: float) -> None:
-        # Rebuild the step list with [x_lo, x_hi) at new_h.
-        new: List[Tuple[float, float]] = []
-        inserted = False
-        tail_height = 0.0
-        for i, (x, h) in enumerate(contour):
-            seg_end = contour[i + 1][0] if i + 1 < len(contour) else float("inf")
-            if seg_end <= x_lo or x >= x_hi:
-                new.append((x, h))
-                if x < x_hi:
-                    tail_height = h
-                continue
-            # Overlapping segment: keep the uncovered prefix/suffix.
-            if x < x_lo:
-                new.append((x, h))
-            if not inserted:
-                new.append((x_lo, new_h))
-                inserted = True
-            if seg_end > x_hi:
-                new.append((x_hi, h))
-            tail_height = h
-        if not inserted:
-            new.append((x_lo, new_h))
-            new.append((x_hi, tail_height))
-        elif all(abs(x - x_hi) > 1e-12 for x, _ in new):
-            new.append((x_hi, tail_height))
-        # Normalize: sort, drop duplicate xs (keep the later entry).
-        new.sort(key=lambda s: s[0])
-        dedup: List[Tuple[float, float]] = []
-        for x, h in new:
-            if dedup and abs(dedup[-1][0] - x) < 1e-12:
-                dedup[-1] = (x, h)
-            else:
-                dedup.append((x, h))
-        contour[:] = dedup
-
     # Preorder DFS on an explicit stack (a left chain is as deep as the
     # module count): pushing right before left pops the left subtree
     # first, so modules are placed in the same order as a recursion.
@@ -240,12 +204,36 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
     while stack:
         name, x = stack.pop()
         w, h = dims[name]
-        y = contour_max(x, x + w)
+        x_hi = x + w
+        # Covered steps: first..stop-1, from the one holding x to the
+        # last one starting before x_hi.
+        first = bisect_right(xs, x) - 1
+        stop = bisect_left(xs, x_hi, first)
+        y = max(hs[first:stop])
         placements[name] = Rect.from_origin(x, y, w, h)
-        contour_raise(x, x + w, y + h)
+
+        steps: List[Tuple[float, float]] = []
+        if xs[first] < x:
+            steps.append((xs[first], hs[first]))
+        steps.append((x, y + h))
+        if stop == len(xs) or xs[stop] > x_hi:
+            steps.append((x_hi, hs[stop - 1]))
+        if stop < len(xs):
+            steps.append((xs[stop], hs[stop]))
+            stop += 1
+        # Steps closer than 1e-12 in x collapse onto the later one.
+        merged = [steps[0]]
+        for step in steps[1:]:
+            if abs(merged[-1][0] - step[0]) < 1e-12:
+                merged[-1] = step
+            else:
+                merged.append(step)
+        xs[first:stop] = [sx for sx, _ in merged]
+        hs[first:stop] = [sh for _, sh in merged]
+
         node = tree.nodes[name]
         if node.right is not None:
             stack.append((node.right, x))
         if node.left is not None:
-            stack.append((node.left, x + w))
+            stack.append((node.left, x_hi))
     return Floorplan(placements)

@@ -11,14 +11,16 @@ module names plus a per-module rotation flag.  Module ``a`` is left of
 ``b`` iff ``a`` precedes ``b`` in both sequences; ``a`` is below ``b``
 iff ``a`` follows ``b`` in ``gamma_plus`` and precedes it in
 ``gamma_minus``.  Packing evaluates the induced horizontal and vertical
-constraint graphs by longest path (O(m^2), fine at block counts).
+constraint graphs by longest path with FAST-SP [Tang, Tian & Wong,
+DATE 2000]: a weighted longest common subsequence over a prefix-max
+Fenwick tree, O(m log m) per packing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from typing import FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.floorplan.floorplan import Floorplan
 from repro.geometry import Rect
@@ -109,34 +111,63 @@ def _swapped(seq: Tuple[str, ...], a: str, b: str) -> Tuple[str, ...]:
 def pack_sequence_pair(
     pair: SequencePair, modules: Mapping[str, Module]
 ) -> Floorplan:
-    """Pack a sequence pair into the lower-left-justified floorplan."""
-    dims: Dict[str, Tuple[float, float]] = {}
+    """Pack a sequence pair into the lower-left-justified floorplan.
+
+    ``a`` is left of ``b`` iff it precedes ``b`` in both sequences, so
+    walking ``gamma_plus`` forward, ``x_b`` is the largest ``x_a + w_a``
+    already written at a ``gamma_minus`` position before ``b``'s.
+    Walking ``gamma_plus`` backward gives the modules below ``b`` and
+    so ``y_b``.  Each coordinate is the max over exactly the sums the
+    O(m^2) constraint-graph walk compares, and max never rounds, so the
+    placements are bit-identical to it.
+    """
+    widths: List[float] = []
+    heights: List[float] = []
     for name in pair.gamma_plus:
         try:
             m = modules[name]
         except KeyError:
             raise KeyError(f"sequence pair names unknown module {name!r}")
         if name in pair.rotated:
-            dims[name] = (m.height, m.width)
+            widths.append(m.height)
+            heights.append(m.width)
         else:
-            dims[name] = (m.width, m.height)
+            widths.append(m.width)
+            heights.append(m.height)
 
-    pos_plus = {name: i for i, name in enumerate(pair.gamma_plus)}
-    order = pair.gamma_minus  # both relations imply gamma_minus precedence
-    x: Dict[str, float] = {}
-    y: Dict[str, float] = {}
-    for j, b in enumerate(order):
-        bx = by = 0.0
-        pb = pos_plus[b]
-        for a in order[:j]:
-            if pos_plus[a] < pb:  # a left of b
-                bx = max(bx, x[a] + dims[a][0])
-            else:  # a below b
-                by = max(by, y[a] + dims[a][1])
-        x[b], y[b] = bx, by
-
+    pos_minus = {name: i for i, name in enumerate(pair.gamma_minus)}
+    slots = [pos_minus[name] for name in pair.gamma_plus]
+    xs = _longest_paths(slots, widths)
+    ys = _longest_paths(slots[::-1], heights[::-1])[::-1]
     placements = {
-        name: Rect.from_origin(x[name], y[name], *dims[name])
-        for name in pair.gamma_plus
+        name: Rect.from_origin(x, y, w, h)
+        for name, x, y, w, h in zip(pair.gamma_plus, xs, ys, widths, heights)
     }
     return Floorplan(placements)
+
+
+def _longest_paths(slots: List[int], sizes: List[float]) -> List[float]:
+    """Start of each item: the max of ``start_j + sizes[j]`` over the
+    earlier items ``j`` with ``slots[j] < slots[i]``, or 0.0 if none.
+
+    ``tree`` is a Fenwick tree of prefix maxima over the slots (1-based):
+    the query walks down to the prefix ``< slot``, the write walks up.
+    """
+    n = len(slots)
+    tree = [0.0] * (n + 1)
+    starts: List[float] = []
+    for slot, size in zip(slots, sizes):
+        start = 0.0
+        i = slot
+        while i:
+            if tree[i] > start:
+                start = tree[i]
+            i &= i - 1
+        starts.append(start)
+        end = start + size
+        i = slot + 1
+        while i <= n:
+            if tree[i] < end:
+                tree[i] = end
+            i += i & -i
+    return starts
