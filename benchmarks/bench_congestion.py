@@ -22,19 +22,32 @@ object pipeline after every delta evaluation and asserts agreement to
 1e-12) plus counter gates (the ledger delta path must actually fire),
 never by wall-clock.
 
+Phase attribution comes from the run's metrics registry, whose
+timers record self (exclusive) time: ``phases`` lists every timer the
+ledger-on run saw, ``layers`` sums them by name prefix (``congestion``
+is ``congestion`` plus ``congestion.irgrid_build`` /
+``congestion.mass_eval`` / ``congestion.scoring``), and
+``unattributed_share`` is the part of the wall clock no timer covers,
+``(wall - sum of self seconds) / wall``.
+
 Results go to ``BENCH_congestion.json`` (see ``--out``)::
 
     {"workloads": [{"name": "n300", "modules": 300,
                     "ledger_moves_per_sec": ..., "full_moves_per_sec": ...,
-                    "ledger_speedup": ..., "phases": {"packing": {...},
-                    "mass_eval": {...}, ...}, "ledger_counters": {...},
-                    "dominant_phase": "packing", ...}, ...],
+                    "ledger_speedup": ..., "phases": {"anneal": {...},
+                    "congestion.mass_eval": {...}, ...},
+                    "layers": {"congestion": ..., ...},
+                    "ledger_counters": {...},
+                    "dominant_phase": "congestion",
+                    "unattributed_share": ..., ...}, ...],
      "strict_ok": true, "ledger_fired": true}
 
 The full run adds 1000/2000/5000-module workloads (4 nets per
 module).  ``--smoke`` runs the 300-module workload on a reduced
 schedule and exits non-zero when the strict replay or a counter gate
-fails -- cheap enough for CI and timing-robust.
+fails, or when ``unattributed_share`` leaves [0, 0.05] (time outside
+every timer, or counted twice) -- cheap enough for CI and
+timing-robust.
 """
 
 from __future__ import annotations
@@ -54,18 +67,9 @@ from repro.engine import AnnealEngine  # noqa: E402
 from repro.ioutil import atomic_write_json  # noqa: E402
 from repro.netlist import random_circuit  # noqa: E402
 
-# Phase timers worth attributing, outermost first.  ``congestion``
-# encloses ``irgrid_build``/``mass_eval``/``scoring``, so the inner
-# three are a breakdown of it, not additive with it.
-PHASES = (
-    "packing",
-    "pin_assignment",
-    "wirelength",
-    "congestion",
-    "irgrid_build",
-    "mass_eval",
-    "scoring",
-)
+# Largest share of a run's wall clock that may fall outside every
+# timer before --smoke fails.
+MAX_UNATTRIBUTED_SHARE = 0.05
 
 
 def _objective(netlist, grid_size: float, use_ledger: bool,
@@ -147,18 +151,18 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
     timers = on_result.perf.timers
     phases = {
         pname: {
-            "seconds": round(stat.seconds, 4),
+            "self_seconds": round(stat.seconds, 4),
             "calls": stat.calls,
             "ms_per_call": round(stat.ms_per_call, 3),
         }
-        for pname in PHASES
-        if (stat := timers.get(pname)) is not None
+        for pname, stat in sorted(timers.items())
     }
-    # Outer (non-overlapping) phases only; 'congestion' already
-    # contains irgrid_build/mass_eval/scoring.
-    outer = [p for p in ("packing", "pin_assignment", "wirelength",
-                         "congestion") if p in phases]
-    dominant = max(outer, key=lambda p: phases[p]["seconds"]) if outer else ""
+    layers = {}
+    for pname, stat in timers.items():
+        layer = pname.split(".", 1)[0]
+        layers[layer] = layers.get(layer, 0.0) + stat.seconds
+    dominant = max(layers, key=layers.get) if layers else ""
+    attributed = sum(stat.seconds for stat in timers.values())
 
     row = {
         "name": name,
@@ -178,10 +182,13 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
         "strict_ok": strict_ok,
         "ledger_counters": ledger_counters,
         "phases": phases,
+        "layers": {
+            layer: round(seconds, 4)
+            for layer, seconds in sorted(layers.items())
+        },
         "dominant_phase": dominant,
-        "congestion_share": round(
-            phases.get("congestion", {}).get("seconds", 0.0) / on_wall, 4
-        ),
+        "congestion_share": round(layers.get("congestion", 0.0) / on_wall, 4),
+        "unattributed_share": round((on_wall - attributed) / on_wall, 6),
     }
     print(
         f"{name}: ledger {row['ledger_moves_per_sec']:.1f} moves/s, "
@@ -190,7 +197,8 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
         f"{ledger_counters['congestion_delta']}/"
         f"{ledger_counters['congestion_delta'] + ledger_counters['congestion_grid_rebuilt']}, "
         f"dominant phase {dominant} "
-        f"({100.0 * row['congestion_share']:.1f}% congestion), "
+        f"({100.0 * row['congestion_share']:.1f}% congestion, "
+        f"{100.0 * row['unattributed_share']:.3f}% unattributed), "
         f"strict={strict_ok}"
     )
     return row
@@ -202,7 +210,8 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="300-module workload only, reduced schedule; exit non-zero "
-        "when the strict replay or a counter gate fails (CI mode)",
+        "when the strict replay, a counter gate or the unattributed-time "
+        "gate fails (CI mode)",
     )
     parser.add_argument(
         "--out",
@@ -234,6 +243,9 @@ def main(argv=None) -> int:
             r["ledger_counters"]["congestion_delta"] > 0 for r in rows
         ),
         "min_ledger_speedup": min(r["ledger_speedup"] for r in rows),
+        "max_unattributed_share": max(
+            r["unattributed_share"] for r in rows
+        ),
     }
 
     out = args.out
@@ -243,13 +255,25 @@ def main(argv=None) -> int:
         atomic_write_json(out, payload)
         print(f"wrote {out}")
 
-    # Counter gates only -- never wall-clock, so CI stays timing-robust.
+    # Counter gates plus one ratio of two clocks read in the same run --
+    # never absolute wall-clock, so CI stays timing-robust.
     failures = []
     if not payload["strict_ok"]:
         failures.append("strict-mode ledger/full agreement failed")
     if not payload["ledger_fired"]:
         failures.append(
             "ledger delta path never fired (congestion_delta == 0)"
+        )
+    # Self times add up to the root span, which sits inside the wall
+    # clock: a negative share means some time was counted twice.
+    shares = [r["unattributed_share"] for r in rows]
+    if args.smoke and not (
+        0.0 <= min(shares) and max(shares) <= MAX_UNATTRIBUTED_SHARE
+    ):
+        failures.append(
+            f"unattributed share {shares} outside "
+            f"[0, {MAX_UNATTRIBUTED_SHARE}] (wall time outside every "
+            f"timer, or counted twice)"
         )
     if failures:
         for f in failures:

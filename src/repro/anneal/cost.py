@@ -49,7 +49,7 @@ from repro.backend import make_backend
 from repro.congestion.base import CongestionModel
 from repro.floorplan import Floorplan, evaluate_polish, initial_expression
 from repro.netlist import Netlist
-from repro.perf import PerfRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.context import CacheContext
 
 __all__ = ["CostBreakdown", "FloorplanObjective"]
@@ -94,11 +94,12 @@ class FloorplanObjective:
         ``cache_context`` slot that is still unset, the objective's
         context is injected into it.
 
-    The ``perf`` attribute accepts a :class:`~repro.perf.PerfRecorder`;
-    phases ``packing`` / ``pin_assignment`` / ``wirelength`` /
-    ``congestion`` and the ``eval_full`` / ``eval_delta`` /
-    ``eval_unchanged`` / ``congestion_skipped`` / ``nets_redone``
-    counters feed the annealing perf report.
+    The ``perf`` attribute accepts a
+    :class:`~repro.obs.MetricsRegistry`; phases ``packing`` /
+    ``pin_assignment`` / ``mst`` / ``wirelength`` / ``congestion`` and
+    the ``eval_full`` / ``eval_delta`` / ``eval_unchanged`` /
+    ``congestion_skipped`` / ``nets_redone`` counters feed the
+    annealing perf report.
     """
 
     def __init__(
@@ -190,13 +191,13 @@ class FloorplanObjective:
         return self._pipeline.strict_incremental
 
     @property
-    def perf(self) -> PerfRecorder:
-        """The perf recorder receiving phase timings and counters."""
+    def perf(self) -> MetricsRegistry:
+        """The registry receiving phase timings and counters."""
         return self._pipeline.perf
 
     @perf.setter
-    def perf(self, recorder: PerfRecorder) -> None:
-        self._pipeline.perf = recorder
+    def perf(self, registry: MetricsRegistry) -> None:
+        self._pipeline.perf = registry
 
     @property
     def _state(self) -> Optional[EvalState]:

@@ -40,7 +40,7 @@ from repro.congestion.base import CongestionModel
 from repro.floorplan import Floorplan
 from repro.metrics import total_two_pin_length
 from repro.netlist import Netlist, TwoPinArrays, batched_mst_edges
-from repro.perf import NULL_RECORDER, PerfRecorder
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.pins import assign_pins, perimeter_fractions
 
 __all__ = [
@@ -476,11 +476,13 @@ class EvaluationPipeline:
     the committed state's arrays (candidates evaluate into a private
     clone), so :meth:`reject` rolls back by reference swap.
 
-    The ``perf`` attribute accepts a :class:`~repro.perf.PerfRecorder`;
-    phases ``pin_assignment`` / ``wirelength`` / ``congestion`` and the
-    ``eval_full`` / ``eval_delta`` / ``eval_unchanged`` /
-    ``congestion_skipped`` / ``nets_redone`` counters feed the
-    annealing perf report.
+    The ``perf`` attribute accepts a
+    :class:`~repro.obs.MetricsRegistry`; phases ``pin_assignment`` /
+    ``mst`` / ``wirelength`` / ``congestion`` (self times: ``mst`` runs
+    inside ``pin_assignment``, the model's ``congestion.*`` phases
+    inside ``congestion``) and the ``eval_full`` / ``eval_delta`` /
+    ``eval_unchanged`` / ``congestion_skipped`` / ``nets_redone``
+    counters feed the annealing perf report.
     """
 
     def __init__(
@@ -500,7 +502,7 @@ class EvaluationPipeline:
         self.aggregator = aggregator
         self.incremental = bool(incremental)
         self.strict_incremental = bool(strict_incremental)
-        self.perf: PerfRecorder = NULL_RECORDER
+        self.perf: MetricsRegistry = NULL_METRICS
         self.state: Optional[EvalState] = None
         self.committed: Optional[EvalState] = None
         self.topology: Optional[PinTopology] = None
@@ -633,7 +635,8 @@ class EvaluationPipeline:
         )
         with self.perf.timeit("pin_assignment"):
             sx, sy = self.pins.compute(floorplan, topology)
-            self.mst.fill_all(topology, edges, sx, sy)
+            with self.perf.timeit("mst"):
+                self.mst.fill_all(topology, edges, sx, sy)
         with self.perf.timeit("wirelength"):
             wl = self.mst.wirelength(topology, edges)
         cgt = 0.0
@@ -694,10 +697,11 @@ class EvaluationPipeline:
             edges = state.edges
             if pins_changed:
                 dirty = np.logical_or.reduceat(changed, topology.starts[:-1])
-                self.perf.count(
-                    "nets_redone",
-                    self.mst.fill_dirty(topology, edges, sx, sy, dirty),
-                )
+                with self.perf.timeit("mst"):
+                    self.perf.count(
+                        "nets_redone",
+                        self.mst.fill_dirty(topology, edges, sx, sy, dirty),
+                    )
         self.perf.count("eval_delta")
 
         with self.perf.timeit("wirelength"):

@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument(
         "--perf",
         action="store_true",
-        help="print the per-phase timing breakdown and cache statistics",
+        help="print per-phase self times (with a total row), counters "
+        "and cache statistics",
     )
     fp.add_argument(
         "--trace",

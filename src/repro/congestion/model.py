@@ -41,7 +41,7 @@ from repro.congestion.irgrid import IRGrid, build_irgrid, build_irgrid_arrays
 from repro.congestion.vectorized import approx_ir_matrix, exact_ir_matrix
 from repro.geometry import Point, Rect
 from repro.netlist import NetType, TwoPinNet
-from repro.perf import NULL_RECORDER
+from repro.obs.metrics import NULL_METRICS
 
 __all__ = ["IrregularGridModel"]
 
@@ -109,8 +109,9 @@ class IrregularGridModel(CongestionModel):
         still never share state with one another.
 
     The ``perf`` attribute may be set to a
-    :class:`~repro.perf.PerfRecorder` to time the evaluation phases
-    (``irgrid_build`` / ``mass_eval`` / ``scoring``).
+    :class:`~repro.obs.MetricsRegistry` to time the evaluation phases
+    (``congestion.irgrid_build`` / ``congestion.mass_eval`` /
+    ``congestion.scoring``).
     """
 
     def __init__(
@@ -146,7 +147,7 @@ class IrregularGridModel(CongestionModel):
         self.use_ledger = bool(use_ledger)
         self.ledger_refresh = int(ledger_refresh)
         self.cache_context = cache_context
-        self.perf = NULL_RECORDER
+        self.perf = NULL_METRICS
         self._exact_twin_model: Optional["IrregularGridModel"] = None
 
     def _context(self) -> Optional[CacheContext]:
@@ -174,11 +175,11 @@ class IrregularGridModel(CongestionModel):
     ) -> Tuple[CongestionMap, IRGrid]:
         """Like :meth:`evaluate`, also returning the IR-grid (Experiment
         3 reports its cell count)."""
-        with self.perf.timeit("irgrid_build"):
+        with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid(
                 chip, nets, self.grid_size, self.merge_factor
             )
-        with self.perf.timeit("mass_eval"):
+        with self.perf.timeit("congestion.mass_eval"):
             mass = self._mass_array(irgrid, nets)
         cells = [
             CongestionCell(rect, float(mass[i, j]))
@@ -198,11 +199,11 @@ class IrregularGridModel(CongestionModel):
         cut-line geometry (identical result to ``score(evaluate(...))``,
         covered by tests).
         """
-        with self.perf.timeit("irgrid_build"):
+        with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid(
                 chip, nets, self.grid_size, self.merge_factor
             )
-        with self.perf.timeit("mass_eval"):
+        with self.perf.timeit("congestion.mass_eval"):
             mass = self._mass_array(irgrid, nets)
         return self._score_mass(irgrid, mass)
 
@@ -218,12 +219,12 @@ class IrregularGridModel(CongestionModel):
         """
         if self.method != "approx":
             return super().estimate_arrays(chip, arr)
-        with self.perf.timeit("irgrid_build"):
+        with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid_arrays(
                 chip, arr, self.grid_size, self.merge_factor
             )
         ctx = self._context()
-        with self.perf.timeit("mass_eval"):
+        with self.perf.timeit("congestion.mass_eval"):
             mass = batched_approx_mass_arrays(
                 irgrid,
                 arr,
@@ -258,7 +259,7 @@ class IrregularGridModel(CongestionModel):
         """
         if self.method != "approx":
             return super().estimate_arrays(chip, arr), None
-        with self.perf.timeit("irgrid_build"):
+        with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid_arrays(
                 chip, arr, self.grid_size, self.merge_factor
             )
@@ -276,7 +277,7 @@ class IrregularGridModel(CongestionModel):
             )
         ):
             self.perf.count("ledger_hits")
-            with self.perf.timeit("mass_eval"):
+            with self.perf.timeit("congestion.mass_eval"):
                 rows = np.asarray(dirty, dtype=np.intp)
                 fresh = batched_edge_contributions(
                     irgrid,
@@ -300,7 +301,7 @@ class IrregularGridModel(CongestionModel):
             # Non-finite dirty contributions: fall through to the full
             # batch, whose exact rescue knows how to recover.
         self.perf.count("congestion_grid_rebuilt")
-        with self.perf.timeit("mass_eval"):
+        with self.perf.timeit("congestion.mass_eval"):
             mass, contrib = batched_approx_mass_arrays(
                 irgrid,
                 arr,
@@ -340,12 +341,12 @@ class IrregularGridModel(CongestionModel):
         if self.method != "approx":
             congestion_map = self.evaluate(chip, _nets_from_arrays(arr))
             return np.asarray(congestion_map.densities())
-        with self.perf.timeit("irgrid_build"):
+        with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid_arrays(
                 chip, arr, self.grid_size, self.merge_factor
             )
         ctx = self._context()
-        with self.perf.timeit("mass_eval"):
+        with self.perf.timeit("congestion.mass_eval"):
             mass = batched_approx_mass_arrays(
                 irgrid,
                 arr,
@@ -380,7 +381,7 @@ class IrregularGridModel(CongestionModel):
 
     def _score_mass(self, irgrid: IRGrid, mass: np.ndarray) -> float:
         """Step 5 scoring of a computed mass array (shared hot path)."""
-        with self.perf.timeit("scoring"):
+        with self.perf.timeit("congestion.scoring"):
             density, areas = self._densities(irgrid, mass)
             return self._top_density_score(density, areas)
 

@@ -211,15 +211,15 @@ class SearchResult:
         return sum(1 for r in self.reports if r.status == "failed")
 
     def merged_perf(self):
-        """One :class:`~repro.perf.PerfRecorder` folding every
+        """One :class:`~repro.obs.MetricsRegistry` folding every
         delivered job's timers and counters, worker-side measurements
         included."""
-        from repro.perf import PerfRecorder
+        from repro.obs.metrics import MetricsRegistry
 
-        merged = PerfRecorder()
+        merged = MetricsRegistry()
         for r in self.results:
             if r.perf is not None:
-                merged.merge(r.perf)
+                merged.merge_snapshot(r.perf.snapshot())
         return merged
 
     def merged_cache_stats(self) -> Dict[str, Any]:

@@ -35,7 +35,8 @@ from repro.errors import CheckpointError
 from repro.engine.representation import Representation, make_representation
 from repro.floorplan import Floorplan
 from repro.netlist import Netlist
-from repro.perf import CacheStats, PerfRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.perf import CacheStats
 from repro.perf.context import CacheContext, merge_cache_stats
 
 __all__ = ["EngineResult", "ObjectiveFactory", "AnnealEngine"]
@@ -78,7 +79,7 @@ class EngineResult:
     n_moves: int = 0
     n_accepted: int = 0
     runtime_seconds: float = 0.0
-    perf: Optional[PerfRecorder] = None
+    perf: Optional[MetricsRegistry] = None
     cache_stats: Dict[str, CacheStats] = field(default_factory=dict)
     completed: bool = True
     stop_reason: Optional[str] = None
@@ -318,7 +319,7 @@ class AnnealEngine:
                     schedule=self.schedule,
                     calibrate=self._calibrate,
                     on_snapshot=on_snapshot,
-                    perf=observer.metrics.perf if observer is not None else None,
+                    perf=observer.metrics if observer is not None else None,
                     control=control,
                     resume=self._resume_state,
                     t0_scale=self.t0_scale,

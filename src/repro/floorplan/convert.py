@@ -124,16 +124,13 @@ def _flatten(op: str, children: List[object]) -> Tuple[str, List[object]]:
     return (op, out)
 
 
-def _polish_node(names: List[str], rects, prefer_vertical: bool):
-    """A slicing-tree node (leaf name, or ``(op, children)``) for one
-    group, recursing through guillotine cuts.
+def _split(names: List[str], rects, prefer_vertical: bool):
+    """One slicing-tree level: ``(op, [(part, prefer_vertical), ...])``.
 
     ``prefer_vertical`` picks which axis to try first and which
     operator a cutless (non-slicing) cluster is forced apart with;
     alternating it per level keeps fallback splits balanced.
     """
-    if len(names) == 1:
-        return names[0]
     for vertical in (True, False) if prefer_vertical else (False, True):
         parts = _guillotine_parts(names, rects, vertical)
         if parts is not None:
@@ -141,9 +138,7 @@ def _polish_node(names: List[str], rects, prefer_vertical: bool):
             # OP_ABOVE above it; parts come ordered along the axis, so
             # an in-order combine reproduces the spatial order.
             op = OP_BESIDE if vertical else OP_ABOVE
-            return _flatten(
-                op, [_polish_node(p, rects, not vertical) for p in parts]
-            )
+            return op, [(p, not vertical) for p in parts]
     # No guillotine cut exists (a non-slicing wheel): split the group
     # in half along the preferred axis by rect centers and force the
     # corresponding operator.
@@ -155,13 +150,38 @@ def _polish_node(names: List[str], rects, prefer_vertical: bool):
     ordered = sorted(names, key=key)
     half = len(ordered) // 2
     op = OP_BESIDE if prefer_vertical else OP_ABOVE
-    return _flatten(
-        op,
-        [
-            _polish_node(ordered[:half], rects, not prefer_vertical),
-            _polish_node(ordered[half:], rects, not prefer_vertical),
-        ],
-    )
+    return op, [
+        (ordered[:half], not prefer_vertical),
+        (ordered[half:], not prefer_vertical),
+    ]
+
+
+def _polish_node(names: List[str], rects, prefer_vertical: bool):
+    """A slicing-tree node (leaf name, or ``(op, children)``) for one
+    group, built through guillotine cuts.
+
+    Iterative post-order over an explicit stack of open groups, each
+    ``(op, parts, built children)``: a spiral floorplan that peels off
+    one module per cut nests as deep as it has modules, which no call
+    stack can follow.
+    """
+    if len(names) == 1:
+        return names[0]
+    stack = [(*_split(names, rects, prefer_vertical), [])]
+    while True:
+        op, parts, built = stack[-1]
+        if len(built) < len(parts):
+            part, prefer = parts[len(built)]
+            if len(part) == 1:
+                built.append(part[0])
+            else:
+                stack.append((*_split(part, rects, prefer), []))
+            continue
+        stack.pop()
+        node = _flatten(op, built)
+        if not stack:
+            return node
+        stack[-1][2].append(node)
 
 
 def _emit_postfix(node) -> List[str]:
@@ -170,15 +190,21 @@ def _emit_postfix(node) -> List[str]:
     Flattening guarantees no child shares its parent's operator, so
     every emitted operator is preceded by tokens ending in either an
     operand or a *different* operator -- the expression is normalized
-    by construction.
+    by construction.  Iterative: the stack holds what is still to be
+    emitted, last item first, and operators are plain tokens on it.
     """
-    if isinstance(node, str):
-        return [node]
-    op, children = node
-    tokens = _emit_postfix(children[0])
-    for child in children[1:]:
-        tokens += _emit_postfix(child)
-        tokens.append(op)
+    tokens: List[str] = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            tokens.append(item)
+            continue
+        op, children = item
+        pending = [children[0]]
+        for child in children[1:]:
+            pending += [child, op]
+        stack.extend(reversed(pending))
     return tokens
 
 
@@ -187,7 +213,7 @@ def polish_from_floorplan(
 ) -> PolishExpression:
     """Reconstruct a normalized Polish expression from a placement.
 
-    Recursive guillotine extraction: wherever a vertical or horizontal
+    Guillotine extraction: wherever a vertical or horizontal
     cut line spans the whole group the group splits there (multi-way,
     combined left-deep so the postfix stays normalized); clusters with
     no guillotine cut fall back to center-median splits with

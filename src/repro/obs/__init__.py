@@ -9,11 +9,11 @@ suite asserts it).  Four pieces:
   round -> restart -> warmup/anneal) and point events as JSONL, one
   atomic ``O_APPEND`` write per flush, so a crashed run leaves its
   scheduling ledger on disk;
-* :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- the
-  :mod:`repro.perf` timers/counters behind one facade plus gauges and
-  fixed-bucket histograms (acceptance rate by temperature, per-rung
-  swap acceptance, per-arm slots, cache hit rates, supervision
-  incidents);
+* :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- the one
+  recorder: phase timers that record self (exclusive) time, so nested
+  rows add up to their root, plus counters, gauges and fixed-bucket
+  histograms (acceptance rate by temperature, per-rung swap
+  acceptance, per-arm slots, cache hit rates, supervision incidents);
 * :class:`ProgressSnapshot` / :class:`ObsPlan`
   (:mod:`repro.obs.progress`) -- workers collect periodic convergence
   samples (cost, temperature, top-k congestion density) that ride the

@@ -1,32 +1,37 @@
-"""The unified metrics registry: timers, counters, gauges, histograms.
+"""The metrics registry: the one recorder of timers, counters, gauges
+and histograms.
 
-:class:`MetricsRegistry` subsumes the :mod:`repro.perf` facade -- its
-``timeit`` / ``add_time`` / ``count`` delegate to an owned
-:class:`~repro.perf.PerfRecorder`, so the annealing hot path keeps its
-near-zero-overhead instrumentation -- and adds the two shapes the perf
-layer lacks:
-
+* **timers**: per-phase *self* (exclusive) seconds and call counts.
+  Spans nest (``anneal`` encloses ``packing``; ``congestion`` encloses
+  ``congestion.mass_eval``), and each span's elapsed time is
+  subtracted from its parent's, so the rows add up to the root span's
+  inclusive time and a layer's total is the sum of its rows by name
+  prefix;
+* **counters**: event counts (``eval_full``, ``ledger_hits``, ...);
 * **gauges**: last-written values (current temperature, best cost,
   per-cache hit rates);
-* **fixed-bucket histograms**: distributions of per-step signals the
-  runs already compute but drop -- move acceptance rate by temperature
-  step, per-rung swap acceptance, per-arm slot allocations.
+* **fixed-bucket histograms**: distributions of per-step signals --
+  move acceptance rate by temperature step, per-rung swap acceptance,
+  per-arm slot allocations.
 
 Everything snapshots to plain JSON (:meth:`MetricsRegistry.snapshot`)
 and merges additively (:meth:`MetricsRegistry.merge_snapshot`), so
 worker processes ship their registry home as a dict on the result
 object and the coordinator folds every worker into one run-wide view.
-The shared :data:`NULL_METRICS` is the do-nothing default.
+The shared :data:`NULL_METRICS` is the do-nothing default: hot-path
+code can always write ``with self.perf.timeit("phase"):`` and pay
+essentially nothing when nobody is listening.
 """
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
-
-from repro.perf import NULL_RECORDER, PerfRecorder, PhaseStat
+from contextlib import nullcontext
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
+    "PhaseStat",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
@@ -37,6 +42,23 @@ __all__ = [
 DEFAULT_RATE_BUCKETS: Tuple[float, ...] = tuple(
     round(i / 20.0, 2) for i in range(1, 21)
 )
+
+
+class PhaseStat:
+    """Accumulated self seconds and call count of one timer."""
+
+    __slots__ = ("seconds", "calls")
+
+    def __init__(self, seconds: float = 0.0, calls: int = 0):
+        self.seconds = seconds
+        self.calls = calls
+
+    @property
+    def ms_per_call(self) -> float:
+        return 1000.0 * self.seconds / self.calls if self.calls else 0.0
+
+    def __repr__(self) -> str:
+        return f"PhaseStat(seconds={self.seconds:.6f}, calls={self.calls})"
 
 
 class Histogram:
@@ -114,33 +136,73 @@ class Histogram:
             )
 
 
-class MetricsRegistry:
-    """One facade over timers, counters, gauges and histograms.
+class _Span:
+    """One ``with``-block measurement feeding a registry.
 
-    ``perf`` is the owned :class:`~repro.perf.PerfRecorder` (created on
-    demand); wire it into an objective / annealing run and the run's
-    phase timers and counters surface in :meth:`snapshot` alongside the
-    registry's own gauges and histograms.
+    On exit the span records its elapsed time minus the time its child
+    spans took, and adds its whole elapsed time to the enclosing span's
+    child total.
     """
 
-    def __init__(self, perf: Optional[PerfRecorder] = None):
-        self.perf = perf if perf is not None else PerfRecorder()
+    __slots__ = ("_registry", "_name", "_t0", "child_s")
+
+    def __init__(self, registry: "MetricsRegistry", name: str):
+        self._registry = registry
+        self._name = name
+
+    def __enter__(self) -> "_Span":
+        self.child_s = 0.0
+        self._registry._open.append(self)
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        elapsed = time.perf_counter() - self._t0
+        open_spans = self._registry._open
+        open_spans.pop()
+        if open_spans:
+            open_spans[-1].child_s += elapsed
+        self._registry.add_time(self._name, elapsed - self.child_s)
+
+
+class MetricsRegistry:
+    """Timers, counters, gauges and histograms of one run or service.
+
+    ``timers`` maps a phase name to its :class:`PhaseStat` of self
+    seconds; ``counters`` maps an event name to its count.  Timers are
+    not thread-safe by design: one registry's spans must all open and
+    close on one thread (each annealing run owns its registry; the
+    service times only on its event-loop thread), because the stack of
+    open spans that turns elapsed time into self time is per registry.
+    Fold registries from other threads or processes with
+    :meth:`merge_snapshot`.
+    """
+
+    def __init__(self) -> None:
+        self.timers: Dict[str, PhaseStat] = {}
+        self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
+        self._open: List[_Span] = []
 
-    # -- perf facade --------------------------------------------------
+    # -- timers and counters ------------------------------------------
 
     def timeit(self, name: str):
-        """Context manager timing one phase (delegates to ``perf``)."""
-        return self.perf.timeit(name)
+        """Context manager timing one occurrence of phase ``name``;
+        records its self time (nested spans' time excluded)."""
+        return _Span(self, name)
 
     def add_time(self, name: str, seconds: float) -> None:
-        """Add one timed occurrence (delegates to ``perf``)."""
-        self.perf.add_time(name, seconds)
+        """Add one occurrence of ``seconds`` self time to ``name``."""
+        stat = self.timers.get(name)
+        if stat is None:
+            stat = self.timers[name] = PhaseStat()
+        stat.seconds += seconds
+        stat.calls += 1
 
     def count(self, name: str, n: int = 1) -> None:
-        """Bump a counter (delegates to ``perf``)."""
-        self.perf.count(name, n)
+        """Bump counter ``name`` by ``n``."""
+        self.counters[name] = self.counters.get(name, 0) + n
 
     # -- gauges and histograms ---------------------------------------
 
@@ -172,10 +234,12 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe image of every timer, counter, gauge, histogram."""
-        perf = self.perf.snapshot()
         return {
-            "timers": perf["timers"],
-            "counters": perf["counters"],
+            "timers": {
+                name: {"seconds": s.seconds, "calls": s.calls}
+                for name, s in sorted(self.timers.items())
+            },
+            "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: h.snapshot()
@@ -191,13 +255,13 @@ class MetricsRegistry:
         registries into the coordinator's.
         """
         for name, stat in data.get("timers", {}).items():
-            mine = self.perf.timers.get(name)
+            mine = self.timers.get(name)
             if mine is None:
-                mine = self.perf.timers[name] = PhaseStat()
+                mine = self.timers[name] = PhaseStat()
             mine.seconds += float(stat["seconds"])
             mine.calls += int(stat["calls"])
         for name, n in data.get("counters", {}).items():
-            self.perf.count(name, int(n))
+            self.count(name, int(n))
         for name, value in data.get("gauges", {}).items():
             self.gauge(name, value)
         for name, hist_data in data.get("histograms", {}).items():
@@ -207,11 +271,52 @@ class MetricsRegistry:
             hist.merge_snapshot(hist_data)
 
 
+    def report(self, title: Optional[str] = None) -> str:
+        """Human-readable table: self seconds, calls and ms/call per
+        timer (largest first), a total row, then the counters."""
+        lines = []
+        if title:
+            lines.append(title)
+        if self.timers:
+            width = max(len(n) for n in ("total", *self.timers))
+            lines.append(
+                f"{'phase'.ljust(width)}  {'self s':>10}  {'calls':>8}  "
+                f"{'ms/call':>9}"
+            )
+            for name, s in sorted(
+                self.timers.items(), key=lambda kv: -kv[1].seconds
+            ):
+                lines.append(
+                    f"{name.ljust(width)}  {s.seconds:>10.4f}  {s.calls:>8d}  "
+                    f"{s.ms_per_call:>9.3f}"
+                )
+            total = sum(s.seconds for s in self.timers.values())
+            lines.append(f"{'total'.ljust(width)}  {total:>10.4f}")
+        if self.counters:
+            lines.append(
+                "counters: "
+                + "  ".join(
+                    f"{name}={n}" for name, n in sorted(self.counters.items())
+                )
+            )
+        return "\n".join(lines) if lines else "(no measurements)"
+
+
+_NULL_SPAN = nullcontext()
+
+
 class _NullMetricsRegistry(MetricsRegistry):
     """Registry that records nothing; safe to share globally."""
 
-    def __init__(self) -> None:
-        super().__init__(perf=NULL_RECORDER)
+    def timeit(self, name: str):
+        """A no-op span."""
+        return _NULL_SPAN
+
+    def add_time(self, name: str, seconds: float) -> None:
+        """Discard the time."""
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Discard the count."""
 
     def gauge(self, name: str, value: float) -> None:
         """Discard the gauge write."""

@@ -12,7 +12,7 @@ bit-identical (the determinism suite asserts exactly this).
 
 Coordinators that want the event/span surface without conditionals can
 use :data:`NULL_OBSERVER` (null tracer, null metrics, no progress);
-never hand it to an engine run, though -- its null perf recorder would
+never hand it to an engine run, though -- its null registry would
 silently replace the run's real one.
 """
 
@@ -37,9 +37,9 @@ class RunObserver:
         Where spans/events/progress lines go; defaults to the no-op
         :data:`~repro.obs.trace.NULL_TRACER`.
     metrics:
-        The unified registry; created on demand.  Engine runs wire
-        ``metrics.perf`` into the objective, so phase timers and
-        counters accumulate here.
+        The run's registry; created on demand.  Engine runs wire it
+        into the objective, so phase timers and counters accumulate
+        here.
     progress_every:
         Temperature steps between :class:`ProgressSnapshot` samples
         (0 disables sampling; per-step metrics still flow).

@@ -1,22 +1,10 @@
-"""Lightweight performance instrumentation for the annealing hot path.
+"""Bounded caches for the annealing hot path.
 
-A :class:`PerfRecorder` accumulates named wall-clock timers and event
-counters with near-zero overhead, so the annealer can attribute every
-evaluation's cost to its phases (packing, pin assignment, IR-grid
-build, mass evaluation, scoring) without a profiler.  The shared
-:data:`NULL_RECORDER` is a do-nothing drop-in: hot-path code can always
-write ``with self.perf.timeit("phase"):`` and pay essentially nothing
-when nobody is listening.
-
-Phases nest (the objective's ``congestion`` timer encloses the model's
-``irgrid_build`` / ``mass_eval`` timers), so per-phase seconds are not
-additive across nesting levels; the report groups them as measured.
+:class:`BoundedCache` is the thread-safe LRU map behind every memo,
+and :class:`CacheContext` owns one instance of each hot-path cache per
+engine, reporting their hit/miss/eviction statistics.  Timers and
+counters live in :class:`repro.obs.MetricsRegistry`.
 """
-
-from __future__ import annotations
-
-import time
-from typing import Dict, Optional
 
 from repro.perf.cache import BoundedCache, CacheStats
 from repro.perf.context import (
@@ -26,157 +14,9 @@ from repro.perf.context import (
 )
 
 __all__ = [
-    "PhaseStat",
-    "PerfRecorder",
-    "NULL_RECORDER",
     "BoundedCache",
     "CacheStats",
     "CacheContext",
     "format_cache_stats",
     "merge_cache_stats",
 ]
-
-
-class PhaseStat:
-    """Accumulated wall-clock time and call count of one phase."""
-
-    __slots__ = ("seconds", "calls")
-
-    def __init__(self, seconds: float = 0.0, calls: int = 0):
-        self.seconds = seconds
-        self.calls = calls
-
-    @property
-    def ms_per_call(self) -> float:
-        return 1000.0 * self.seconds / self.calls if self.calls else 0.0
-
-    def __repr__(self) -> str:
-        return f"PhaseStat(seconds={self.seconds:.6f}, calls={self.calls})"
-
-
-class _PhaseTimer:
-    """One ``with``-block measurement feeding a recorder."""
-
-    __slots__ = ("_recorder", "_name", "_t0")
-
-    def __init__(self, recorder: "PerfRecorder", name: str):
-        self._recorder = recorder
-        self._name = name
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._recorder.add_time(self._name, time.perf_counter() - self._t0)
-
-
-class PerfRecorder:
-    """Named wall-clock timers + event counters.
-
-    Not thread-safe by design: each annealing chain owns its recorder;
-    merge recorders from parallel chains afterwards with :meth:`merge`.
-    """
-
-    def __init__(self) -> None:
-        self.timers: Dict[str, PhaseStat] = {}
-        self.counters: Dict[str, int] = {}
-
-    # -- recording ----------------------------------------------------
-
-    def timeit(self, name: str) -> _PhaseTimer:
-        """Context manager timing one phase occurrence."""
-        return _PhaseTimer(self, name)
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Add one timed occurrence of phase ``name``."""
-        stat = self.timers.get(name)
-        if stat is None:
-            stat = self.timers[name] = PhaseStat()
-        stat.seconds += seconds
-        stat.calls += 1
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump counter ``name`` by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    # -- aggregation --------------------------------------------------
-
-    def merge(self, other: "PerfRecorder") -> None:
-        """Fold another recorder's measurements into this one."""
-        for name, stat in other.timers.items():
-            mine = self.timers.get(name)
-            if mine is None:
-                mine = self.timers[name] = PhaseStat()
-            mine.seconds += stat.seconds
-            mine.calls += stat.calls
-        for name, n in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + n
-
-    def snapshot(self) -> dict:
-        """Machine-readable copy: ``{"timers": ..., "counters": ...}``."""
-        return {
-            "timers": {
-                name: {"seconds": s.seconds, "calls": s.calls}
-                for name, s in sorted(self.timers.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-        }
-
-    def report(self, title: Optional[str] = None) -> str:
-        """Human-readable per-phase breakdown."""
-        lines = []
-        if title:
-            lines.append(title)
-        if self.timers:
-            width = max(len(n) for n in self.timers)
-            lines.append(
-                f"{'phase'.ljust(width)}  {'seconds':>10}  {'calls':>8}  "
-                f"{'ms/call':>9}"
-            )
-            for name, s in sorted(
-                self.timers.items(), key=lambda kv: -kv[1].seconds
-            ):
-                lines.append(
-                    f"{name.ljust(width)}  {s.seconds:>10.4f}  {s.calls:>8d}  "
-                    f"{s.ms_per_call:>9.3f}"
-                )
-        if self.counters:
-            lines.append(
-                "counters: "
-                + "  ".join(
-                    f"{name}={n}" for name, n in sorted(self.counters.items())
-                )
-            )
-        return "\n".join(lines) if lines else "(no measurements)"
-
-
-class _NullTimer:
-    """Shared no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _NullRecorder(PerfRecorder):
-    """Recorder that measures nothing; safe to share globally."""
-
-    def timeit(self, name: str) -> _NullTimer:  # type: ignore[override]
-        return _NULL_TIMER
-
-    def add_time(self, name: str, seconds: float) -> None:
-        return None
-
-    def count(self, name: str, n: int = 1) -> None:
-        return None
-
-
-NULL_RECORDER = _NullRecorder()

@@ -134,8 +134,8 @@ class FaultyObjective:
         return self.inner.perf
 
     @perf.setter
-    def perf(self, recorder) -> None:
-        self.inner.perf = recorder
+    def perf(self, registry) -> None:
+        self.inner.perf = registry
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

@@ -18,7 +18,7 @@ from repro.congestion import IrregularGridModel
 from repro.engine import AnnealEngine
 from repro.floorplan import initial_expression
 from repro.netlist import random_circuit
-from repro.perf import PerfRecorder
+from repro.obs import MetricsRegistry
 
 
 def _walk(netlist, n_steps, seed):
@@ -97,7 +97,7 @@ class TestDeltaAgreement:
         netlist = random_circuit(8, 20, seed=6)
         grid = max(math.sqrt(netlist.total_module_area) / 20.0, 1e-6)
         fast, _ = _pair(netlist, grid)
-        perf = PerfRecorder()
+        perf = MetricsRegistry()
         fast.perf = perf
         exprs = _walk(netlist, 3, 6)
         fast.evaluate_expression(exprs[0])
@@ -164,7 +164,7 @@ class TestPerfCounters:
         netlist = random_circuit(12, 30, seed=10)
         grid = max(math.sqrt(netlist.total_module_area) / 20.0, 1e-6)
         fast, _ = _pair(netlist, grid)
-        perf = PerfRecorder()
+        perf = MetricsRegistry()
         fast.perf = perf
         exprs = _walk(netlist, 40, 10)
         for expr in exprs:
@@ -177,6 +177,7 @@ class TestPerfCounters:
         assert perf.counters["congestion_skipped"] >= 1
         assert perf.counters["nets_redone"] > 0
         assert "pin_assignment" in perf.timers
+        assert "mst" in perf.timers
         assert "congestion" in perf.timers
 
     def test_engine_reports_incremental_counters(self):

@@ -23,7 +23,7 @@ from repro.congestion import IrregularGridModel
 from repro.geometry import Rect
 from repro.metrics.stats import area_weighted_top_fraction_mean
 from repro.netlist import TwoPinArrays
-from repro.perf import PerfRecorder
+from repro.obs import MetricsRegistry
 
 GRID = 30.0
 CHIP = Rect(0, 0, 600, 600)
@@ -120,7 +120,7 @@ class TestLedgerParity:
         # O(dirty) path, visibly via the counters.
         coords = np.array([[2, 2, 10, 10], [2, 10, 10, 2]], dtype=np.int64)
         model = IrregularGridModel(GRID, use_cache=True, use_ledger=True)
-        model.perf = PerfRecorder()
+        model.perf = MetricsRegistry()
         arr = _arrays(coords)
         _, ledger = model.estimate_arrays_ledger(CHIP, arr, None, None)
         assert ledger is not None
@@ -136,7 +136,7 @@ class TestLedgerParity:
         model = IrregularGridModel(
             GRID, use_cache=True, use_ledger=True, ledger_refresh=2
         )
-        model.perf = PerfRecorder()
+        model.perf = MetricsRegistry()
         arr = _arrays(coords)
         _, ledger = model.estimate_arrays_ledger(CHIP, arr, None, None)
         dirty = np.array([1], dtype=np.intp)

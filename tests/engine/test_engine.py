@@ -137,9 +137,9 @@ class TestStrictIncrementalRepresentations:
         rep = make_representation(
             name, netlist, cache_context=objective.cache_context
         )
-        from repro.perf import PerfRecorder
+        from repro.obs import MetricsRegistry
 
-        objective.perf = PerfRecorder()
+        objective.perf = MetricsRegistry()
         rng = _random.Random(10)
         state = rep.initial(rng)
         for _ in range(200):

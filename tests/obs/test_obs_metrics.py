@@ -1,19 +1,25 @@
-"""The unified metrics registry: histograms, gauges, perf facade, merge.
+"""The metrics registry: timers, counters, gauges, histograms, merge.
 
-The registry must subsume the :mod:`repro.perf` facade (timers and
-counters accumulate in its owned recorder) while adding gauges and
-fixed-bucket histograms, and every shape must survive a
-``snapshot`` -> ``merge_snapshot`` round trip so worker registries fold
-losslessly into the coordinator's.
+The registry is the one recorder: timers record exclusive (self) time,
+so nested spans add up to their root exactly; counters, gauges and
+fixed-bucket histograms sit beside them, and every shape must survive
+a ``snapshot`` -> ``merge_snapshot`` round trip so worker registries
+fold losslessly into the coordinator's.
 """
+
+import time
 
 import pytest
 
+from repro.anneal import GeometricSchedule
+from repro.data import load_mcnc
+from repro.engine import AnnealEngine, ObjectiveSpec
 from repro.obs import (
     DEFAULT_RATE_BUCKETS,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
+    RunObserver,
 )
 from repro.perf import CacheStats
 
@@ -145,3 +151,86 @@ class TestMetricsRegistry:
         NULL_METRICS.merge_snapshot({"counters": {"x": 1}})
         snap = NULL_METRICS.snapshot()
         assert snap["gauges"] == {} and snap["histograms"] == {}
+
+
+class TestExclusiveTime:
+    def test_nested_spans_get_exact_self_times(self, monkeypatch):
+        # Every span reads the clock once on entry and once on exit.
+        ticks = iter([0.0, 1.0, 3.0, 4.0, 8.0, 9.0, 10.0, 11.0, 12.0, 15.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        registry = MetricsRegistry()
+        with registry.timeit("root"):  # 0 .. 15
+            with registry.timeit("a"):  # 1 .. 8
+                with registry.timeit("a.inner"):  # 3 .. 4
+                    pass
+            with registry.timeit("b"):  # 9 .. 10
+                pass
+            with registry.timeit("b"):  # 11 .. 12
+                pass
+        timers = registry.timers
+        assert {name: s.seconds for name, s in timers.items()} == {
+            "root": 15.0 - 7.0 - 1.0 - 1.0,
+            "a": 7.0 - 1.0,
+            "a.inner": 1.0,
+            "b": 2.0,
+        }
+        assert timers["b"].calls == 2
+        assert sum(s.seconds for s in timers.values()) == 15.0
+
+    def test_span_closed_by_exception_still_records(self, monkeypatch):
+        ticks = iter([0.0, 2.0, 5.0, 6.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        registry = MetricsRegistry()
+        with pytest.raises(RuntimeError):
+            with registry.timeit("root"):
+                with registry.timeit("child"):
+                    raise RuntimeError("boom")
+        assert registry.timers["child"].seconds == 3.0
+        assert registry.timers["root"].seconds == 3.0
+        assert registry._open == []
+
+
+def _ami33_run(observer=None):
+    engine = AnnealEngine(
+        load_mcnc("ami33"),
+        representation="polish",
+        objective_spec=ObjectiveSpec(
+            gamma=1.0, pin_grid_size=30.0, congestion_grid_size=30.0
+        ),
+        seed=3,
+        moves_per_temperature=20,
+        schedule=GeometricSchedule(
+            cooling_rate=0.8, freeze_ratio=1e-3, max_steps=8
+        ),
+    )
+    return engine.run(observer=observer)
+
+
+def test_ami33_self_times_fit_inside_the_run():
+    plain = _ami33_run()
+    observed = _ami33_run(RunObserver())
+    walk = lambda r: (  # noqa: E731
+        r.breakdown,
+        r.n_moves,
+        r.n_accepted,
+        sorted(r.floorplan.placements.items()),
+    )
+    assert walk(observed) == walk(plain)
+    for result in (plain, observed):
+        timers = result.perf.timers
+        assert {
+            "anneal",
+            "packing",
+            "pin_assignment",
+            "mst",
+            "wirelength",
+            "congestion",
+            "congestion.irgrid_build",
+            "congestion.mass_eval",
+            "congestion.scoring",
+        } <= set(timers)
+        assert timers["anneal"].calls == 1
+        assert all(s.seconds >= 0.0 for s in timers.values())
+        assert sum(s.seconds for s in timers.values()) <= (
+            result.runtime_seconds
+        )

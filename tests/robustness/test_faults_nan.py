@@ -19,7 +19,7 @@ from repro.congestion.model import IrregularGridModel
 from repro.congestion.irgrid import build_irgrid
 from repro.engine.representation import make_representation
 from repro.netlist import random_circuit, nets_to_arrays
-from repro.perf import PerfRecorder
+from repro.obs import MetricsRegistry
 from repro.pins import assign_pins
 from repro.testing import poison_approx_mass
 
@@ -45,7 +45,7 @@ def _models():
 def test_poisoned_mass_rescued_by_exact_model(placed, poison):
     chip, nets = placed
     approx, exact = _models()
-    perf = PerfRecorder()
+    perf = MetricsRegistry()
     approx.perf = perf
 
     with poison_approx_mass(at_call=1, value=poison) as state:
