@@ -43,11 +43,14 @@ Results go to ``BENCH_congestion.json`` (see ``--out``)::
      "strict_ok": true, "ledger_fired": true}
 
 The full run adds 1000/2000/5000-module workloads (4 nets per
-module).  ``--smoke`` runs the 300-module workload on a reduced
-schedule and exits non-zero when the strict replay or a counter gate
-fails, or when ``unattributed_share`` leaves [0, 0.05] (time outside
-every timer, or counted twice) -- cheap enough for CI and
-timing-robust.
+module).  ``ledger_counters`` splits the grid rebuilds:
+``congestion_outline_rebuilt`` counts the evaluations whose dirty set
+the pipeline withheld because the chip outline changed.  ``--smoke``
+runs the 300-module workload on a reduced schedule and exits non-zero
+when the strict replay or a counter gate fails (including outline
+rebuilds outnumbering grid rebuilds), or when ``unattributed_share``
+leaves [0, 0.05] (time outside every timer, or counted twice) --
+cheap enough for CI and timing-robust.
 """
 
 from __future__ import annotations
@@ -143,6 +146,7 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
             "ledger_hits",
             "congestion_delta",
             "congestion_grid_rebuilt",
+            "congestion_outline_rebuilt",
             "congestion_skipped",
             "nets_redone",
             "evaluations",
@@ -195,7 +199,9 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
         f"full {row['full_moves_per_sec']:.1f} moves/s "
         f"(x{row['ledger_speedup']:.2f}), delta evals "
         f"{ledger_counters['congestion_delta']}/"
-        f"{ledger_counters['congestion_delta'] + ledger_counters['congestion_grid_rebuilt']}, "
+        f"{ledger_counters['congestion_delta'] + ledger_counters['congestion_grid_rebuilt']} "
+        f"({ledger_counters['congestion_outline_rebuilt']} rebuilds for an "
+        f"outline change), "
         f"dominant phase {dominant} "
         f"({100.0 * row['congestion_share']:.1f}% congestion, "
         f"{100.0 * row['unattributed_share']:.3f}% unattributed), "
@@ -264,6 +270,18 @@ def main(argv=None) -> int:
         failures.append(
             "ledger delta path never fired (congestion_delta == 0)"
         )
+    # Every evaluation that withholds the dirty set for a changed
+    # outline rebuilds the grid, so the first count bounds the second.
+    for r in rows:
+        c = r["ledger_counters"]
+        if (
+            args.smoke
+            and c["congestion_outline_rebuilt"] > c["congestion_grid_rebuilt"]
+        ):
+            failures.append(
+                f"{r['name']}: {c['congestion_outline_rebuilt']} outline "
+                f"rebuilds exceed {c['congestion_grid_rebuilt']} grid rebuilds"
+            )
     # Self times add up to the root span, which sits inside the wall
     # clock: a negative share means some time was counted twice.
     shares = [r["unattributed_share"] for r in rows]

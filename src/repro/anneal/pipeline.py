@@ -85,12 +85,12 @@ class PinTopology:
     a dirty net rewrites its slots in place.  2-pin nets (``simple_*``)
     fill their single edge by pure array gather; only nets of 3+ pins
     (``multi``) need a per-net MST.  Everything here is
-    floorplan-invariant.
+    floorplan-invariant except the memo behind :meth:`pin_rows`.
     """
 
     __slots__ = (
         "module_names",
-        "key_set",
+        "index",
         "term_idx",
         "frac",
         "starts",
@@ -101,13 +101,16 @@ class PinTopology:
         "simple_slot",
         "simple_mask",
         "multi_groups",
+        "_rows_names",
+        "_rows",
     )
 
     def __init__(self, netlist: Netlist, module_names):
         self.module_names = list(module_names)
-        self.key_set = set(self.module_names)
         fractions = perimeter_fractions(netlist, self.module_names)
-        index = {name: i for i, name in enumerate(self.module_names)}
+        self.index = index = {
+            name: i for i, name in enumerate(self.module_names)
+        }
         term_idx: List[int] = []
         frac: List[float] = []
         starts = [0]
@@ -157,6 +160,35 @@ class PinTopology:
             )
             for k, group in sorted(by_k.items())
         ]
+        # pin_rows' one-entry memo: the last names tuple and its rows.
+        self._rows_names: Optional[Tuple[str, ...]] = None
+        self._rows: Optional[np.ndarray] = None
+
+    def pin_rows(self, floorplan: Floorplan) -> Optional[np.ndarray]:
+        """The row of ``floorplan``'s columns holding each pin's module,
+        or ``None`` when it places a different module set.
+
+        Floorplan names are distinct, so equal counts plus every name
+        known means the same set.  Packers reorder modules from move to
+        move; a floorplan listing them as the previous one did (the
+        same names tuple) reuses its rows.
+        """
+        names = floorplan.module_names
+        if names is self._rows_names:
+            return self._rows
+        n = len(self.module_names)
+        if len(names) != n:
+            return None
+        index = self.index
+        try:
+            order = [index[name] for name in names]
+        except KeyError:
+            return None
+        row_of = np.empty(n, dtype=np.intp)
+        row_of[order] = np.arange(n)
+        self._rows_names = names
+        self._rows = row_of[self.term_idx]
+        return self._rows
 
 
 class EvalState:
@@ -169,7 +201,6 @@ class EvalState:
     """
 
     __slots__ = (
-        "placements",
         "chip",
         "pins_x",
         "pins_y",
@@ -181,7 +212,6 @@ class EvalState:
 
     def __init__(
         self,
-        placements,
         chip,
         pins_x: np.ndarray,
         pins_y: np.ndarray,
@@ -190,7 +220,6 @@ class EvalState:
         congestion: float,
         congestion_ledger=None,
     ):
-        self.placements = placements
         self.chip = chip
         self.pins_x = pins_x
         self.pins_y = pins_y
@@ -211,7 +240,6 @@ class EvalState:
         """
         e = self.edges
         return EvalState(
-            placements=self.placements,
             chip=self.chip,
             pins_x=self.pins_x.copy(),
             pins_y=self.pins_y.copy(),
@@ -247,29 +275,22 @@ class PinStage:
     def compute(
         self, floorplan: Floorplan, topology: PinTopology
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every (net, terminal) pin of ``floorplan``, as flat arrays."""
-        placements = floorplan.placements
+        """Every (net, terminal) pin of ``floorplan``, as flat arrays,
+        gathered straight from the floorplan's coordinate columns."""
+        idx = topology.pin_rows(floorplan)
+        if idx is None:
+            raise ValueError(
+                "floorplan places a different module set than the topology"
+            )
         chip = floorplan.chip
-        n = len(topology.module_names)
-        mx_lo = np.empty(n)
-        my_lo = np.empty(n)
-        mx_hi = np.empty(n)
-        my_hi = np.empty(n)
-        for i, name in enumerate(topology.module_names):
-            r = placements[name]
-            mx_lo[i] = r.x_lo
-            my_lo[i] = r.y_lo
-            mx_hi[i] = r.x_hi
-            my_hi[i] = r.y_hi
-        w = mx_hi - mx_lo
-        h = my_hi - my_lo
+        w = floorplan.x_hi - floorplan.x_lo
+        h = floorplan.y_hi - floorplan.y_lo
         per = 2.0 * (w + h)
 
-        idx = topology.term_idx
-        x_lo = mx_lo[idx]
-        x_hi = mx_hi[idx]
-        y_lo = my_lo[idx]
-        y_hi = my_hi[idx]
+        x_lo = floorplan.x_lo[idx]
+        x_hi = floorplan.x_hi[idx]
+        y_lo = floorplan.y_lo[idx]
+        y_hi = floorplan.y_hi[idx]
         w_g = w[idx]
         h_g = h[idx]
 
@@ -481,8 +502,9 @@ class EvaluationPipeline:
     ``mst`` / ``wirelength`` / ``congestion`` (self times: ``mst`` runs
     inside ``pin_assignment``, the model's ``congestion.*`` phases
     inside ``congestion``) and the ``eval_full`` / ``eval_delta`` /
-    ``eval_unchanged`` / ``congestion_skipped`` / ``nets_redone``
-    counters feed the annealing perf report.
+    ``eval_unchanged`` / ``congestion_skipped`` / ``nets_redone`` /
+    ``congestion_outline_rebuilt`` counters feed the annealing perf
+    report.
     """
 
     def __init__(
@@ -581,7 +603,7 @@ class EvaluationPipeline:
 
     def _topology_for(self, floorplan: Floorplan) -> PinTopology:
         topology = self.topology
-        if topology is None or floorplan.placements.keys() != topology.key_set:
+        if topology is None or topology.pin_rows(floorplan) is None:
             topology = PinTopology(self.netlist, floorplan.module_names)
             self.topology = topology
             self.state = None
@@ -613,7 +635,6 @@ class EvaluationPipeline:
         np.copyto(dst.p1y, src.p1y)
         np.copyto(dst.p2x, src.p2x)
         np.copyto(dst.p2y, src.p2y)
-        spare.placements = prev.placements
         spare.chip = prev.chip
         spare.pins_x = prev.pins_x
         spare.pins_y = prev.pins_y
@@ -647,7 +668,6 @@ class EvaluationPipeline:
                     floorplan.chip, edges, None, None
                 )
         self.state = EvalState(
-            placements=floorplan.placements,
             chip=floorplan.chip,
             pins_x=sx,
             pins_y=sy,
@@ -662,11 +682,10 @@ class EvaluationPipeline:
     def _delta_terms(self, floorplan: Floorplan) -> Tuple[float, float]:
         prev = self.state
         topology = self.topology
-        placements = floorplan.placements
         if (
             prev is None
             or topology is None
-            or placements.keys() != topology.key_set
+            or topology.pin_rows(floorplan) is None
         ):
             # Different module set: the flattened pin topology no longer
             # lines up -- restart.
@@ -725,14 +744,16 @@ class EvaluationPipeline:
             if pins_changed and not chip_changed:
                 dirty_edges = np.nonzero(dirty[topology.edge_owner])[0]
             else:
+                # Only a changed outline reaches here (unchanged pins
+                # and chip returned above): count why the grid rebuilds.
                 dirty_edges = None
+                self.perf.count("congestion_outline_rebuilt")
             with self.perf.timeit("congestion"):
                 cgt, ledger = self.congestion.estimate_arrays_ledger(
                     chip, edges, prev.congestion_ledger, dirty_edges
                 )
             state.congestion_ledger = ledger
 
-        state.placements = placements
         state.chip = chip
         state.pins_x = sx
         state.pins_y = sy

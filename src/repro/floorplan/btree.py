@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.floorplan.floorplan import Floorplan
-from repro.geometry import Rect
 
 __all__ = ["BStarTree", "pack_btree"]
 
@@ -196,7 +195,12 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
 
     xs: List[float] = [0.0]
     hs: List[float] = [0.0]
-    placements: Dict[str, Rect] = {}
+    # Placement columns, in placement order.
+    names: List[str] = []
+    x_lo: List[float] = []
+    y_lo: List[float] = []
+    widths: List[float] = []
+    heights: List[float] = []
     # Preorder DFS on an explicit stack (a left chain is as deep as the
     # module count): pushing right before left pops the left subtree
     # first, so modules are placed in the same order as a recursion.
@@ -210,7 +214,11 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
         first = bisect_right(xs, x) - 1
         stop = bisect_left(xs, x_hi, first)
         y = max(hs[first:stop])
-        placements[name] = Rect.from_origin(x, y, w, h)
+        names.append(name)
+        x_lo.append(x)
+        y_lo.append(y)
+        widths.append(w)
+        heights.append(h)
 
         steps: List[Tuple[float, float]] = []
         if xs[first] < x:
@@ -236,4 +244,4 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
             stack.append((node.right, x))
         if node.left is not None:
             stack.append((node.left, x_hi))
-    return Floorplan(placements)
+    return Floorplan.from_origins(names, x_lo, y_lo, widths, heights)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.floorplan.floorplan import Floorplan
-from repro.geometry import Rect
 from repro.netlist import Module
 
 __all__ = ["SequencePair", "pack_sequence_pair"]
@@ -139,11 +138,7 @@ def pack_sequence_pair(
     slots = [pos_minus[name] for name in pair.gamma_plus]
     xs = _longest_paths(slots, widths)
     ys = _longest_paths(slots[::-1], heights[::-1])[::-1]
-    placements = {
-        name: Rect.from_origin(x, y, w, h)
-        for name, x, y, w, h in zip(pair.gamma_plus, xs, ys, widths, heights)
-    }
-    return Floorplan(placements)
+    return Floorplan.from_origins(pair.gamma_plus, xs, ys, widths, heights)
 
 
 def _longest_paths(slots: List[int], sizes: List[float]) -> List[float]:

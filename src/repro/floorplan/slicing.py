@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.packing import (
@@ -157,9 +157,10 @@ def _place(
     shape_index: int,
     x: float,
     y: float,
-    out: Dict[str, Rect],
+    out: Tuple[List[str], List[float], List[float], List[float], List[float]],
 ) -> None:
-    """Place every module of the chosen realization, iteratively.
+    """Place every module of the chosen realization, iteratively,
+    appending its name, origin and size to the ``out`` columns.
 
     An explicit work stack instead of recursion: a pathological but
     perfectly legal expression (``m0 m1 * m2 * ...``, one long
@@ -167,17 +168,20 @@ def _place(
     near 1k modules used to blow CPython's recursion limit here.  The
     right child is pushed first so the left subtree is walked -- and
     ``out`` is filled -- in exactly the order the recursive version
-    used, keeping placement insertion order (and therefore downstream
-    dict-order-sensitive consumers) bit-identical.
+    used, keeping placement order (and therefore downstream
+    order-sensitive consumers) bit-identical.
     """
+    names, xs, ys, widths, heights = out
     stack = [(node, shape_index, x, y)]
     while stack:
         node, shape_index, x, y = stack.pop()
         shape = node.shapes[shape_index]
         if node.is_leaf:
-            out[node.module_name] = Rect.from_origin(
-                x, y, shape.width, shape.height
-            )
+            names.append(node.module_name)
+            xs.append(x)
+            ys.append(y)
+            widths.append(shape.width)
+            heights.append(shape.height)
             continue
         left_shape = node.left.shapes[shape.left_index]
         if node.op == OP_ABOVE:
@@ -206,8 +210,8 @@ def evaluate_polish(
     """
     root = build_slicing_tree(expression, modules, allow_rotation, cache=cache)
     best = root.shapes.min_area_index()
-    placements: Dict[str, Rect] = {}
-    _place(root, best, 0.0, 0.0, placements)
+    columns = ([], [], [], [], [])
+    _place(root, best, 0.0, 0.0, columns)
     chip_shape = root.shapes[best]
     chip = Rect.from_origin(0.0, 0.0, chip_shape.width, chip_shape.height)
-    return Floorplan(placements, chip=chip)
+    return Floorplan.from_origins(*columns, chip=chip)

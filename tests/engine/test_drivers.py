@@ -15,6 +15,8 @@ The driver contracts under test:
 """
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,37 @@ class TestDriverResume:
         driver, state = resume_driver(path, workers=1, rounds=3)
         resumed = driver.run(resume_state=state)
         assert resumed.best_cost == straight.best_cost
+        assert resumed.ledger == straight.ledger
+
+    def test_resumes_checkpoint_of_rect_dict_floorplans(self, tmp_path):
+        """``data/portfolio_pre_columnar.ckpt`` was written before
+        floorplans became columnar, so its results pickle each
+        ``Floorplan`` as a name -> Rect dict.  It is this module's
+        ``_config`` without strict checking, ``rounds=2``.  Resumed to
+        three rounds it gives the costs that build's resume gave."""
+        source = Path(__file__).parent / "data" / "portfolio_pre_columnar.ckpt"
+        assert b"_placements" in source.read_bytes()
+        checkpoint = load_driver_checkpoint(source)
+        for result in checkpoint.state["results"]:
+            assert result.floorplan.x_lo.size == 8
+            result.floorplan.validate()
+        config = replace(
+            checkpoint.config,
+            rounds=3,
+            checkpoint_path=str(tmp_path / "p.ckpt"),
+        )
+        resumed = make_driver(checkpoint.driver, config).run(
+            resume_state=checkpoint.state
+        )
+        assert resumed.costs == [
+            2.2672300517688813, 2.3357844009395805, 2.3650956815200574,
+            2.22260442176506, 2.2935268267130944, 2.2747330565193087,
+            2.123991257170606, 2.3471607772851084, 2.432256160985844,
+        ]
+        straight = make_driver(
+            "portfolio", replace(checkpoint.config, rounds=3, checkpoint_path=None)
+        ).run()
+        assert resumed.costs == straight.costs
         assert resumed.ledger == straight.ledger
 
     def test_checkpoint_stores_driver_name(self, netlist, tmp_path):

@@ -1,20 +1,31 @@
-"""Reference packers: the O(m^2) sequence-pair walk and the
-scan-and-sort B*-tree contour, kept verbatim as identity oracles.
+"""Reference packers: the O(m^2) sequence-pair walk, the
+scan-and-sort B*-tree contour and the Rect-building slicing
+placement walk, kept verbatim as identity oracles.
 
-``repro.floorplan`` packs with FAST-SP and an indexed contour; the
-tests in ``test_packer_identity.py`` require both to return exactly
-these placements, in the same order, with the same chip.
+``repro.floorplan`` packs with FAST-SP and an indexed contour, and
+every packer writes coordinate columns instead of ``Rect`` objects;
+the tests in ``test_packer_identity.py`` require all three to return
+exactly these placements, in the same order, with the same chip.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.floorplan import BStarTree, Floorplan, SequencePair
+from repro.floorplan import (
+    BStarTree,
+    Floorplan,
+    PolishExpression,
+    SequencePair,
+    build_slicing_tree,
+)
+from repro.floorplan.polish import OP_ABOVE
+from repro.floorplan.slicing import SlicingNode
 from repro.geometry import Rect
 from repro.netlist import Module
+from repro.perf.cache import BoundedCache
 
-__all__ = ["pack_sequence_pair", "pack_btree"]
+__all__ = ["pack_sequence_pair", "pack_btree", "evaluate_polish"]
 
 
 def pack_sequence_pair(
@@ -136,3 +147,48 @@ def pack_btree(tree: BStarTree, modules: Mapping[str, object]) -> Floorplan:
         if node.left is not None:
             stack.append((node.left, x + w))
     return Floorplan(placements)
+
+
+def _place(
+    node: SlicingNode,
+    shape_index: int,
+    x: float,
+    y: float,
+    out: Dict[str, Rect],
+) -> None:
+    """Place every module of the chosen realization, iteratively."""
+    stack = [(node, shape_index, x, y)]
+    while stack:
+        node, shape_index, x, y = stack.pop()
+        shape = node.shapes[shape_index]
+        if node.is_leaf:
+            out[node.module_name] = Rect.from_origin(
+                x, y, shape.width, shape.height
+            )
+            continue
+        left_shape = node.left.shapes[shape.left_index]
+        if node.op == OP_ABOVE:
+            stack.append(
+                (node.right, shape.right_index, x, y + left_shape.height)
+            )
+        else:
+            stack.append(
+                (node.right, shape.right_index, x + left_shape.width, y)
+            )
+        stack.append((node.left, shape.left_index, x, y))
+
+
+def evaluate_polish(
+    expression: PolishExpression,
+    modules: Mapping[str, Module],
+    allow_rotation: bool = True,
+    cache: Optional[BoundedCache] = None,
+) -> Floorplan:
+    """Pack a Polish expression into the minimum-area floorplan."""
+    root = build_slicing_tree(expression, modules, allow_rotation, cache=cache)
+    best = root.shapes.min_area_index()
+    placements: Dict[str, Rect] = {}
+    _place(root, best, 0.0, 0.0, placements)
+    chip_shape = root.shapes[best]
+    chip = Rect.from_origin(0.0, 0.0, chip_shape.width, chip_shape.height)
+    return Floorplan(placements, chip=chip)

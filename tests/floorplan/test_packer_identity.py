@@ -1,20 +1,25 @@
-"""FAST-SP and the indexed B*-tree contour against the reference packers.
+"""The columnar packers against the Rect-building reference packers.
 
-Packing changed algorithm, not answer: every placement, the order the
-placements are listed in, and the chip must equal what the O(m^2)
-sequence-pair walk and the scan-and-sort contour produce.  Widths such
-as 0.1/0.2/0.3 make contour xs that differ by float dust (0.1 + 0.2 vs
+Packing changed algorithm and storage, not answer: the coordinate
+columns (bit for bit), the module order, every placement and the chip
+must equal what the O(m^2) sequence-pair walk, the scan-and-sort
+contour and the Rect-building slicing walk produce.  Widths such as
+0.1/0.2/0.3 make contour xs that differ by float dust (0.1 + 0.2 vs
 0.3), which exercises the 1e-12 near-coincident-x merge.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_packers
 from repro.floorplan import (
     BStarTree,
     SequencePair,
+    evaluate_polish,
+    initial_expression,
     pack_btree,
     pack_sequence_pair,
 )
@@ -28,10 +33,20 @@ DUST = (0.1, 0.2, 0.3)
 SIDES = DUST + (0.6, 0.7, 1.0, 1.1, 2.5, 3.0)
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def assert_same_floorplan(got, expected):
+    assert got.module_names == expected.module_names
+    for column in ("x_lo", "y_lo", "x_hi", "y_hi"):
+        assert getattr(got, column).dtype == np.float64
+        assert bits(getattr(got, column)) == bits(getattr(expected, column))
+    chip = dataclasses.astuple(got.chip)
+    assert all(type(v) is float for v in chip)
+    assert bits(chip) == bits(dataclasses.astuple(expected.chip))
     assert got.placements == expected.placements
     assert list(got.placements) == list(expected.placements)
-    assert got.chip == expected.chip
 
 
 @st.composite
@@ -66,6 +81,24 @@ def grow_tree(order, pick_slot, rotated=frozenset()):
     return BStarTree(order[0], nodes, rotated)
 
 
+@st.composite
+def polish_expressions(draw):
+    mods = draw(module_sets())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    expression = initial_expression(list(mods), rng)
+    for _ in range(draw(st.integers(0, 40))):
+        expression = expression.random_neighbor(rng)
+    return expression, mods, draw(st.booleans())
+
+
+def random_modules(n, rng):
+    return {
+        f"m{i}": Module(f"m{i}", rng.choice(SIDES) * rng.randint(1, 9),
+                        rng.choice(SIDES) * rng.randint(1, 9))
+        for i in range(n)
+    }
+
+
 def random_tree(names, rng):
     rotated = frozenset(name for name in names if rng.random() < 0.3)
     return grow_tree(names, rng.randrange, rotated)
@@ -92,11 +125,7 @@ class TestSequencePairIdentity:
 
     def test_2000_modules(self):
         rng = random.Random(11)
-        mods = {
-            f"m{i}": Module(f"m{i}", rng.choice(SIDES) * rng.randint(1, 9),
-                            rng.choice(SIDES) * rng.randint(1, 9))
-            for i in range(2000)
-        }
+        mods = random_modules(2000, rng)
         pair = SequencePair.initial(list(mods), rng)
         for _ in range(50):
             pair = pair.random_neighbor(rng)
@@ -117,12 +146,32 @@ class TestBTreeIdentity:
 
     def test_2000_modules(self):
         rng = random.Random(12)
-        mods = {
-            f"m{i}": Module(f"m{i}", rng.choice(SIDES) * rng.randint(1, 9),
-                            rng.choice(SIDES) * rng.randint(1, 9))
-            for i in range(2000)
-        }
+        mods = random_modules(2000, rng)
         tree = random_tree(list(mods), rng)
         assert_same_floorplan(
             pack_btree(tree, mods), reference_packers.pack_btree(tree, mods)
+        )
+
+
+class TestPolishIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(polish_expressions())
+    def test_matches_rect_building_walk(self, case):
+        expression, mods, allow_rotation = case
+        assert_same_floorplan(
+            evaluate_polish(expression, mods, allow_rotation),
+            reference_packers.evaluate_polish(
+                expression, mods, allow_rotation
+            ),
+        )
+
+    def test_2000_modules(self):
+        rng = random.Random(13)
+        mods = random_modules(2000, rng)
+        expression = initial_expression(list(mods), rng)
+        for _ in range(200):
+            expression = expression.random_neighbor(rng)
+        assert_same_floorplan(
+            evaluate_polish(expression, mods),
+            reference_packers.evaluate_polish(expression, mods),
         )
