@@ -1,17 +1,15 @@
 #!/usr/bin/env python
-"""Benchmark the search drivers against best-of-N multistart.
+"""Benchmark the portfolio driver against best-of-N multistart.
 
 For each workload (ami33/ami49-scale synthetic circuits, congestion
-term enabled at gamma=1.0) the script gives every driver the **same
+term enabled at gamma=1.0) the script gives both drivers the **same
 move budget**:
 
 * ``multistart``: best-of-N independent restarts, N = total portfolio
-  legs -- the repository's previous search behavior;
+  legs;
 * ``portfolio``: the representation race (polish/sp/btree arms, slot
   reallocation to the leading arms, elite continuation and cross-
-  representation migration between rounds);
-* ``tempering``: replica exchange, with its sweep count solved so the
-  replicas spend the same total moves as the other two.
+  representation migration between rounds).
 
 Every leg/restart runs the identical geometric schedule and
 moves-per-temperature, and the schedule's step count is fixed by its
@@ -80,8 +78,8 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
     legs_per_round = len(ARMS)
     total_legs = rounds * legs_per_round
 
-    # Full mode runs all drivers on the same worker count -- the
-    # portfolio round width, capped at the machine's cores -- so no
+    # Full mode runs both drivers on the same worker count -- the
+    # portfolio round width, capped at the machine's cores -- so neither
     # driver gets a parallelism edge; results are bit-identical at any
     # worker count (see the results_agree gate).
     workers = 1 if smoke else min(len(ARMS), os.cpu_count() or 1)
@@ -110,22 +108,9 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
             ),
         )
     )
-    # Replica exchange spends moves_per_sweep per replica per round;
-    # solve the round count for the same total moves.
-    replicas = len(ARMS)
-    tempering_rounds = max(1, (total_legs * steps) // replicas)
-    tempering, tp_wall = _timed_run(
-        make_driver(
-            "tempering",
-            DriverConfig(
-                restarts=replicas, rounds=tempering_rounds, **base
-            ),
-        )
-    )
 
     ms_moves = sum(r.n_moves for r in multistart.results)
     pf_moves = sum(r.n_moves for r in portfolio.results)
-    tp_moves = sum(r.n_moves for r in tempering.results)
     # Scheduled budgets are identical by construction (same legs, same
     # schedule, same moves-per-temperature); executed moves may differ
     # by a hair because some representations skip degenerate moves
@@ -149,14 +134,11 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
         "scheduled_moves_per_driver": scheduled,
         "multistart_moves": ms_moves,
         "portfolio_moves": pf_moves,
-        "tempering_moves": tp_moves,
         "equal_budget": equal_budget,
         "multistart_wall_seconds": round(ms_wall, 3),
         "portfolio_wall_seconds": round(pf_wall, 3),
-        "tempering_wall_seconds": round(tp_wall, 3),
         "multistart_best_cost": multistart.best_cost,
         "portfolio_best_cost": portfolio.best_cost,
-        "tempering_best_cost": tempering.best_cost,
         "portfolio_best_representation": portfolio.best.representation,
         "portfolio_improvement_pct": round(100.0 * improvement, 3),
         "portfolio_beats_multistart": (
@@ -170,16 +152,11 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
             )
             for arm in ARMS
         },
-        "swap_acceptance": (
-            sum(1 for s in tempering.ledger["swaps"] if s["accepted"])
-            / max(1, len(tempering.ledger["swaps"]))
-        ),
     }
     print(
         f"{name}: multistart {multistart.best_cost:.4f} "
         f"({ms_wall:.1f}s) vs portfolio {portfolio.best_cost:.4f} "
-        f"({pf_wall:.1f}s, won by {row['portfolio_best_representation']}) "
-        f"vs tempering {tempering.best_cost:.4f} ({tp_wall:.1f}s); "
+        f"({pf_wall:.1f}s, won by {row['portfolio_best_representation']}); "
         f"improvement {row['portfolio_improvement_pct']:+.2f}%"
     )
     return row
@@ -250,7 +227,7 @@ def main(argv=None) -> int:
     ]
 
     payload = {
-        "benchmark": "search drivers vs best-of-N multistart",
+        "benchmark": "portfolio driver vs best-of-N multistart",
         "smoke": args.smoke,
         "workloads": rows,
         "equal_budget": all(r["equal_budget"] for r in rows),

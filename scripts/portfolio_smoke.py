@@ -3,13 +3,12 @@
 
 Two checks on a small synthetic circuit, both cheap enough for CI:
 
-* **Tempering resume bit-identity.**  A straight 3-round replica-
-  exchange run must equal a 2-round run that checkpoints, is reloaded
-  through :func:`repro.engine.resume_driver`, and finishes the third
-  round -- same per-replica costs, same swap ledger (every proposed
-  swap's uniforms included), same winner.  A divergence means the
-  driver checkpoint misses scheduler state (swap RNG, ladder,
-  replica RNGs).
+* **Portfolio resume bit-identity.**  A straight 3-round portfolio
+  run must equal a 2-round run that checkpoints, is reloaded through
+  :func:`repro.engine.resume_driver`, and finishes the third round --
+  same per-leg costs, same allocation ledger, same winner.  A
+  divergence means the driver checkpoint misses scheduler state
+  (accumulated results, per-arm bests, the round ledger).
 
 * **Portfolio crash recovery.**  A portfolio run on a two-process pool
   with one leg hard-killed (``os._exit`` via the deterministic fault
@@ -63,25 +62,28 @@ def _base_config(netlist, **overrides):
     return DriverConfig(**defaults)
 
 
-def check_tempering_resume(netlist, failures):
-    straight = make_driver("tempering", _base_config(netlist, rounds=3)).run()
+def check_portfolio_resume(netlist, failures):
+    straight = make_driver("portfolio", _base_config(netlist, rounds=3)).run()
     with TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tempering.ckpt"
+        path = Path(tmp) / "portfolio.ckpt"
         make_driver(
-            "tempering",
+            "portfolio",
             _base_config(netlist, rounds=2, checkpoint_path=str(path)),
         ).run()
         driver, state = resume_driver(path, rounds=3)
         resumed = driver.run(resume_state=state)
 
-    print(f"tempering straight costs: {straight.costs}")
-    print(f"tempering resumed costs : {resumed.costs}")
+    print(f"portfolio straight costs: {straight.costs}")
+    print(f"portfolio resumed costs : {resumed.costs}")
     if resumed.costs != straight.costs:
-        failures.append("tempering: resumed costs differ from straight run")
-    if resumed.ledger["swaps"] != straight.ledger["swaps"]:
-        failures.append("tempering: resumed swap ledger diverged")
-    if resumed.best.seed != straight.best.seed:
-        failures.append("tempering: resumed winner differs")
+        failures.append("portfolio: resumed costs differ from straight run")
+    if resumed.ledger != straight.ledger:
+        failures.append("portfolio: resumed allocation ledger diverged")
+    if (resumed.best.seed, resumed.best.representation) != (
+        straight.best.seed,
+        straight.best.representation,
+    ):
+        failures.append("portfolio: resumed winner differs")
     return straight, resumed
 
 
@@ -130,7 +132,7 @@ def main(argv=None) -> int:
     netlist = random_circuit(10, 24, seed=3)
     failures: list[str] = []
 
-    straight, resumed = check_tempering_resume(netlist, failures)
+    straight, resumed = check_portfolio_resume(netlist, failures)
     clean, faulted = check_portfolio_crash_recovery(netlist, failures)
 
     if args.out is not None:
@@ -138,13 +140,13 @@ def main(argv=None) -> int:
             args.out,
             {
                 "check": "search-driver determinism + fault recovery",
-                "tempering": {
+                "portfolio": {
                     "straight_costs": straight.costs,
                     "resumed_costs": resumed.costs,
-                    "swaps": resumed.ledger["swaps"],
-                    "resume_identical": resumed.costs == straight.costs,
-                },
-                "portfolio": {
+                    "resume_identical": (
+                        resumed.costs == straight.costs
+                        and resumed.ledger == straight.ledger
+                    ),
                     "clean_costs": clean.costs,
                     "faulted_costs": faulted.costs,
                     "reports": [r.to_json() for r in faulted.reports],

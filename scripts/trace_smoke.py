@@ -5,16 +5,16 @@ Three checks on a small synthetic circuit, all through the real CLI
 (:func:`repro.cli.main`), cheap enough for CI:
 
 * **Trace transparency.**  A ``--trace``/``--metrics-every`` run of
-  each search driver (tempering and portfolio) must print exactly the
+  each search driver (multistart and portfolio) must print exactly the
   untraced run's report -- observability may add its own "wrote
-  trace" line but must never change a cost, a swap ledger or an
-  allocation decision.
+  trace" line but must never change a cost or an allocation
+  decision.
 
 * **Schema round-trip.**  Every line of both trace files must pass the
   strict :mod:`repro.obs.schema` validator, and the files must carry
-  the driver's scheduling evidence: proposed swaps and replica
-  progress for tempering, leg plans and per-round allocations for the
-  portfolio.
+  the driver's scheduling evidence: progress snapshots from every
+  driver, completed restarts for multistart, round spans, leg plans
+  and per-round allocations for the portfolio.
 
 * **Summarizer.**  ``floorplan trace`` must render phase attribution
   and the convergence table from each file, and its ``--json`` image
@@ -64,12 +64,20 @@ def _report_lines(output):
     ]
 
 
+# Trace events each driver's scheduling must leave behind.
+_REQUIRED_EVENTS = {
+    "multistart": ("event:restart_complete",),
+    "portfolio": ("span:round", "event:leg_planned", "event:allocation"),
+}
+
+
 def _check_driver(driver, circuit, trace_path, rounds, restarts, failures):
     base = [
         "floorplan", str(circuit), "--driver", driver,
-        "--restarts", str(restarts), "--rounds", str(rounds),
-        "--seed", "1",
+        "--restarts", str(restarts), "--seed", "1",
     ]
+    if driver == "portfolio":
+        base += ["--rounds", str(rounds)]
     plain = _run_cli(base)
     traced = _run_cli(
         base + ["--trace", str(trace_path), "--metrics-every", "1"]
@@ -89,14 +97,9 @@ def _check_driver(driver, circuit, trace_path, rounds, restarts, failures):
         )
     if not summary.progress:
         failures.append(f"{driver}: no progress snapshots reached the trace")
-    if "span:round" not in summary.event_counts:
-        failures.append(f"{driver}: round spans missing from the trace")
-    if driver == "tempering" and summary.swaps_proposed < 1:
-        failures.append("tempering: no swap events in the trace")
-    if driver == "portfolio":
-        for required in ("event:leg_planned", "event:allocation"):
-            if required not in summary.event_counts:
-                failures.append(f"portfolio: {required} missing from trace")
+    for required in _REQUIRED_EVENTS[driver]:
+        if required not in summary.event_counts:
+            failures.append(f"{driver}: {required} missing from trace")
 
     rendered = _run_cli(["trace", str(trace_path)])
     for needle in ("phase time attribution", "convergence", "best cost"):
@@ -127,7 +130,7 @@ def main(argv=None):
         tmp = Path(tmp)
         circuit = tmp / "tiny.yal"
         write_yal(random_circuit(8, 20, seed=3), circuit)
-        for driver in ("tempering", "portfolio"):
+        for driver in ("multistart", "portfolio"):
             print(f"== {driver} ==")
             report[driver] = _check_driver(
                 driver,

@@ -434,10 +434,6 @@ class CongestionStage:
         """Whether congestion participates in the objective."""
         return self.model is not None
 
-    def estimate_arrays(self, chip, edges: TwoPinArrays) -> float:
-        """Congestion cost of flat placed-edge arrays (the hot path)."""
-        return self.model.estimate_arrays(chip, edges)
-
     def estimate_arrays_ledger(self, chip, edges: TwoPinArrays, ledger, dirty):
         """Ledger-carrying congestion cost: ``(score, new_ledger)``.
 

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from repro.anneal import FloorplanObjective
 from repro.congestion import FixedGridModel, IrregularGridModel, JudgingModel
 from repro.data import MCNC_CIRCUITS, load_mcnc, read_yal, write_yal
+from repro.engine import available_drivers
 from repro.experiments.config import active_profile, circuit_config
 from repro.experiments.exp1 import format_experiment1, run_experiment1
 from repro.experiments.exp2 import format_experiment2, run_experiment2
@@ -85,17 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fp.add_argument(
         "--driver",
-        choices=("multistart", "tempering", "portfolio"),
+        choices=available_drivers(),
         default="multistart",
-        help="search driver: independent best-of-N restarts (default), "
-        "replica-exchange tempering, or the representation portfolio",
+        help="search driver: independent best-of-N restarts (default) "
+        "or the representation portfolio",
     )
     fp.add_argument(
         "--rounds",
         type=int,
         default=None,
         metavar="N",
-        help="scheduling rounds for --driver tempering/portfolio "
+        help="scheduling rounds for --driver portfolio "
         "(default 3); on --resume, extends or shortens the remaining "
         "schedule",
     )
@@ -104,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="independent seeded runs; the best result is reported "
-        "(for tempering: replica count; for portfolio: legs per round)",
+        "(for portfolio: legs per round)",
     )
     fp.add_argument(
         "--list-drivers",
         action="store_true",
-        help="list the registered search drivers and exit",
+        help="list the search drivers and exit",
     )
     fp.add_argument(
         "--list-reprs",
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="write atomic checkpoints to this file during annealing "
-        "(single runs, or driver-level for tempering/portfolio); "
+        "(single runs, or driver-level for portfolio); "
         "resume later with --resume",
     )
     fp.add_argument(
@@ -169,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="STEPS",
         help="temperature steps between checkpoints (default 1); for "
-        "tempering/portfolio: scheduling *rounds* between driver "
-        "checkpoints",
+        "portfolio: scheduling *rounds* between driver checkpoints",
     )
     fp.add_argument(
         "--resume",
@@ -429,7 +429,7 @@ def _cmd_floorplan(args) -> int:
     if args.driver == "multistart":
         if args.rounds is not None:
             raise SystemExit(
-                "error: --rounds only applies to --driver tempering/portfolio"
+                "error: --rounds only applies to --driver portfolio"
             )
         if multi_job and (
             args.checkpoint is not None or args.resume is not None
@@ -456,9 +456,10 @@ def _cmd_floorplan(args) -> int:
             f"wirelength {b.wirelength:.0f} um, "
             f"congestion {b.congestion:.4g}, judge {judging_cost:.4g}"
         )
-        perf, cache_stats = _merged_perf_view(
-            outcome, result.perf, result.cache_stats
-        )
+        # Every delivered job's timers and cache statistics, worker-side
+        # measurements included.
+        perf = outcome.merged_perf()
+        cache_stats = outcome.merged_cache_stats()
     else:
         result, judging_cost, netlist = _run_single_controlled(
             args, netlist, grid_size, incremental, observer
@@ -514,18 +515,6 @@ def _finish_observer(args, observer) -> None:
             f"wrote trace to {args.trace} "
             f"({observer.tracer.n_events} events)"
         )
-
-
-def _merged_perf_view(outcome, fallback_perf, fallback_cache_stats):
-    """The ``--perf`` view for a multi-job outcome: every delivered
-    job's timers/counters and cache statistics folded together
-    (worker-side measurements included), falling back to the best
-    result's own numbers when the outcome carries none (e.g. tempering
-    sweeps, which run outside engine perf accounting)."""
-    merged = outcome.merged_perf()
-    caches = outcome.merged_cache_stats()
-    perf = merged if (merged.timers or merged.counters) else fallback_perf
-    return perf, caches if caches else fallback_cache_stats
 
 
 def _floorplan_outputs(
@@ -692,11 +681,7 @@ def _run_driver(args, netlist, grid_size, incremental, observer=None):
         )
     costs = ", ".join(f"{r.cost:.4g}" for r in outcome.results)
     print(f"{args.driver} costs ({outcome.workers} worker(s)): {costs}")
-    if args.driver == "tempering":
-        swaps = outcome.ledger.get("swaps", [])
-        taken = sum(1 for s in swaps if s["accepted"])
-        print(f"replica swaps: {taken}/{len(swaps)} accepted")
-    elif args.driver == "portfolio":
+    if args.driver == "portfolio":
         rounds = outcome.ledger.get("rounds", [])
         if rounds:
             final = rounds[-1]["arm_best"]

@@ -13,11 +13,10 @@ One engine, four layers:
    engine's context; no module-global mutable cache anywhere, so
    concurrent engines never cross-pollute;
 4. **Search drivers** (:mod:`repro.engine.drivers`) -- strategies
-   that schedule many supervised annealing runs behind one registry:
-   ``multistart`` (best-of-N restarts, the default), ``tempering``
-   (replica exchange over a temperature ladder), and ``portfolio``
+   that schedule many supervised annealing runs behind one name table:
+   ``multistart`` (best-of-N restarts, the default) and ``portfolio``
    (representation race with slot reallocation and elite migration),
-   all sequential-vs-pool bit-identical and resumable from
+   both sequential-vs-pool bit-identical; the portfolio resumes from
    round-granularity driver checkpoints.
 
 Fault tolerance rides on top of all four layers:
@@ -48,7 +47,6 @@ from repro.engine.drivers import (
     available_drivers,
     driver_descriptions,
     make_driver,
-    register_driver,
     resume_driver,
 )
 from repro.engine.engine import AnnealEngine, EngineResult, ObjectiveFactory
@@ -63,7 +61,6 @@ from repro.engine.representation import (
     representation_descriptions,
 )
 from repro.engine.supervise import SupervisedRunner
-from repro.engine.tempering import TemperingDriver
 from repro.perf.context import CacheContext
 
 __all__ = [
@@ -78,12 +75,10 @@ __all__ = [
     "SearchDriver",
     "SearchResult",
     "MultiStartDriver",
-    "TemperingDriver",
     "PortfolioDriver",
     "available_drivers",
     "driver_descriptions",
     "make_driver",
-    "register_driver",
     "resume_driver",
     "Representation",
     "RepresentationFactory",

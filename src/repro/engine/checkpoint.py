@@ -67,6 +67,11 @@ _MAGIC = b"repro-checkpoint"
 DRIVER_CHECKPOINT_VERSION = 1
 _DRIVER_MAGIC = b"repro-driver-ckpt"
 
+# Checkpoints of the deleted replica-exchange driver pickle its replica
+# states by this module path; loading one names the removal instead of
+# reporting a corrupt file.
+_REMOVED_TEMPERING_MODULE = "repro.engine.tempering"
+
 
 @dataclass
 class LoopState:
@@ -120,15 +125,13 @@ class DriverCheckpoint:
     Engine-level checkpoints freeze one annealing loop;
     ``DriverCheckpoint`` freezes the layer *above* it -- a
     :class:`~repro.engine.drivers.SearchDriver`'s position in its own
-    schedule: which round it is on, the temperature ladder and every
-    replica's state (tempering), slot allocations and accumulated leg
-    results (portfolio), the swap/allocation RNG state, and the
-    decision ledger.  Resuming from one replays the remaining rounds
-    bit-identically: the same swaps are proposed with the same uniforms
-    and the same slots are allocated, because the entire scheduling RNG
-    stream is restored verbatim.
+    schedule: which round it is on, the accumulated leg results,
+    per-arm bests and the allocation ledger (portfolio).  Resuming from
+    one replays the remaining rounds bit-identically: allocation is a
+    pure function of the accumulated results, so the same slots are
+    allocated and the same leg seeds run.
 
-    ``driver`` names the registered driver that wrote the file (resume
+    ``driver`` names the driver that wrote the file (resume
     under a different driver is refused); ``config`` is the picklable
     run configuration (netlist, spec, seeds, rounds...) so the CLI can
     reconstruct the whole run from the file alone; ``state`` is the
@@ -187,6 +190,12 @@ def _load_envelope(
     try:
         obj = pickle.loads(blob[header:])
     except Exception as exc:
+        if getattr(exc, "name", None) == _REMOVED_TEMPERING_MODULE:
+            raise CheckpointError(
+                f"{what} {path} was written by the tempering driver, "
+                f"which has been removed; start a new run with the "
+                f"portfolio or multistart driver"
+            ) from exc
         raise CheckpointError(
             f"{what} {path} is corrupt or truncated: {exc}"
         ) from exc
@@ -223,9 +232,12 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
     except OSError:
         head = b""
     if head.startswith(_DRIVER_MAGIC):
+        # Loading it first surfaces a removed driver's error instead.
+        driver = load_driver_checkpoint(path).driver
         raise CheckpointError(
             f"{path} is a search-driver checkpoint; resume it through "
-            f"the driver layer (--driver ... --resume), not AnnealEngine"
+            f"the driver layer (--driver {driver} --resume), not "
+            f"AnnealEngine"
         )
     return _load_envelope(
         path, _MAGIC, CHECKPOINT_VERSION, Checkpoint, "checkpoint"

@@ -3,18 +3,13 @@
 This module is the **search-driver layer**: a driver is a strategy for
 scheduling supervised annealing jobs -- which jobs to run, with what
 state, and what to do between rounds -- behind one protocol and one
-string-keyed registry, mirroring the representation registry.
+fixed name table, :data:`DRIVERS`.
 
-Built-in drivers:
+The drivers:
 
 ``multistart``
     Independent best-of-N restarts over consecutive seeds.  The
     default; see :class:`MultiStartDriver`.
-``tempering``
-    Replica-exchange (parallel tempering): K replicas anneal at fixed
-    rungs of a geometric temperature ladder and deterministically
-    propose configuration swaps between adjacent rungs each round.
-    See :mod:`repro.engine.tempering`.
 ``portfolio``
     A representation portfolio: Polish / sequence-pair / B*-tree
     annealers race in rounds; worker slots are reallocated to the
@@ -25,31 +20,18 @@ Built-in drivers:
 Every driver runs its jobs through the same
 :class:`~repro.engine.supervise.SupervisedRunner` (watchdog, retries,
 pool rebuild, degrade-to-sequential), keeps a per-job
-:class:`~repro.engine.multistart.RunReport` ledger, produces identical
-results sequentially and on a process pool, and -- for the round-based
-drivers -- freezes its scheduling state (round index, ladders, swap
-RNG, allocation decisions) into a
+:class:`~repro.engine.multistart.RunReport` ledger, and produces
+identical results sequentially and on a process pool.  The portfolio
+also freezes its scheduling state (round index, accumulated results,
+allocation decisions) into a
 :class:`~repro.engine.checkpoint.DriverCheckpoint` at round boundaries
 so an interrupted run resumes bit-identically.
-
-The registry is lazily populated: ``tempering`` and ``portfolio`` live
-in their own modules (which import the engine machinery), so
-:func:`make_driver` imports them on first use rather than at import
-time -- the registry module stays import-light and cycle-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.anneal.schedule import GeometricSchedule
 from repro.engine.checkpoint import (
@@ -68,7 +50,7 @@ __all__ = [
     "SearchResult",
     "SearchDriver",
     "MultiStartDriver",
-    "register_driver",
+    "DRIVERS",
     "available_drivers",
     "driver_descriptions",
     "make_driver",
@@ -80,17 +62,17 @@ __all__ = [
 class DriverConfig:
     """Picklable configuration shared by every search driver.
 
-    Not every driver reads every field -- ``representations`` and
-    ``rounds`` only matter to the portfolio, ``ladder_ratio`` only to
-    tempering -- but one value object keeps the CLI, the checkpoint
-    envelope, and the drivers speaking the same language.  The whole
+    Not every driver reads every field -- ``representations``,
+    ``rounds`` and ``t0_decay`` only matter to the portfolio -- but one
+    value object keeps the CLI, the checkpoint envelope, and the
+    drivers speaking the same language.  The whole
     config is embedded in every :class:`DriverCheckpoint`, so a resumed
     run needs nothing but the file.
 
     ``restarts`` is the per-round job budget: restart count for
-    multistart, replica count for tempering, legs per round for the
-    portfolio.  ``rounds`` is how many scheduling rounds the round
-    based drivers run (multistart has exactly one).
+    multistart, legs per round for the portfolio.  ``rounds`` is how
+    many scheduling rounds the portfolio runs (multistart has exactly
+    one).
     """
 
     netlist: Netlist
@@ -104,9 +86,6 @@ class DriverConfig:
     schedule: Optional[GeometricSchedule] = None
     calibrate: bool = True
     workers: int = 1
-    # Tempering: the coldest rung's temperature as a fraction of the
-    # hottest (the sampled T0).
-    ladder_ratio: float = 0.05
     # Portfolio: per-round decay of the continuation t0_scale -- round
     # r's elite-continuation legs re-anneal at decay**r of T0.
     t0_decay: float = 0.5
@@ -135,10 +114,6 @@ class DriverConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.representations:
             raise ValueError("representations must be non-empty")
-        if not 0.0 < self.ladder_ratio < 1.0:
-            raise ValueError(
-                f"ladder_ratio must be in (0, 1), got {self.ladder_ratio}"
-            )
         if not 0.0 < self.t0_decay <= 1.0:
             raise ValueError(
                 f"t0_decay must be in (0, 1], got {self.t0_decay}"
@@ -177,10 +152,9 @@ class SearchResult:
     """What any search driver returns: winner, field, and ledgers.
 
     ``driver`` names the driver that produced it.  ``ledger`` carries the
-    driver's scheduling decisions in JSON-friendly form -- swap
-    proposals and outcomes for tempering, per-round slot allocations
-    and migrations for the portfolio, empty for multistart -- so runs
-    are auditable after the fact.
+    driver's scheduling decisions in JSON-friendly form -- per-round
+    slot allocations and migrations for the portfolio, empty for
+    multistart -- so runs are auditable after the fact.
     """
 
     driver: str
@@ -234,7 +208,7 @@ class SearchResult:
 
 
 class SearchDriver:
-    """Protocol every registered driver implements.
+    """Protocol every driver in :data:`DRIVERS` implements.
 
     A driver is constructed from a :class:`DriverConfig` and run once:
 
@@ -245,10 +219,7 @@ class SearchDriver:
       config's policy; ``resume_state`` is the ``state`` payload of a
       loaded checkpoint and makes the run continue bit-identically.
 
-    Registered through :func:`register_driver` as
-    ``factory(config) -> driver``; this base class exists for
-    documentation and ``isinstance`` convenience, not mechanism --
-    drivers only need the ``run`` signature.
+    Listed in :data:`DRIVERS` and built as ``cls(config)``.
     """
 
     name: str = ""
@@ -260,9 +231,9 @@ class SearchDriver:
         """Execute the driver's whole schedule; see the class docs.
 
         ``observer`` (a coordinator-side :class:`repro.obs.RunObserver`)
-        receives the driver's scheduling decisions -- swaps,
-        allocations, migrations, supervision incidents -- as trace
-        events, plus every delivered job's progress and metrics.
+        receives the driver's scheduling decisions -- allocations,
+        migrations, supervision incidents -- as trace events, plus
+        every delivered job's progress and metrics.
         """
         raise NotImplementedError
 
@@ -285,94 +256,6 @@ class SearchDriver:
             )
             observer.metrics.count("driver_checkpoints")
         return 1
-
-
-_FACTORIES: Dict[str, Callable[[DriverConfig], SearchDriver]] = {}
-_DESCRIPTIONS: Dict[str, str] = {}
-_BUILTINS_LOADED = False
-
-
-def register_driver(
-    name: str,
-    factory: Callable[[DriverConfig], SearchDriver],
-    description: str = "",
-) -> None:
-    """Register a driver factory under ``name``.
-
-    ``description`` is the one-line summary ``--list-drivers`` prints.
-    Raises :class:`ValueError` on a duplicate name.
-    """
-    if name in _FACTORIES:
-        raise ValueError(f"driver {name!r} is already registered")
-    _FACTORIES[name] = factory
-    _DESCRIPTIONS[name] = description
-
-
-def _ensure_builtin_drivers() -> None:
-    """Import the built-in driver modules exactly once.
-
-    ``tempering`` and ``portfolio`` register themselves on import;
-    deferring that import to first registry use keeps this module free
-    of cycles (those modules import the engine stack, which imports
-    nothing from here).
-    """
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    import repro.engine.portfolio  # noqa: F401  (self-registers)
-    import repro.engine.tempering  # noqa: F401  (self-registers)
-
-    _BUILTINS_LOADED = True
-
-
-def available_drivers() -> Tuple[str, ...]:
-    """The registered driver names, sorted."""
-    _ensure_builtin_drivers()
-    return tuple(sorted(_FACTORIES))
-
-
-def driver_descriptions() -> Dict[str, str]:
-    """``name -> one-line description`` for every registered driver,
-    in sorted name order."""
-    _ensure_builtin_drivers()
-    return {name: _DESCRIPTIONS.get(name, "") for name in sorted(_FACTORIES)}
-
-
-def make_driver(name: str, config: DriverConfig) -> SearchDriver:
-    """Build the named driver for ``config``."""
-    _ensure_builtin_drivers()
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(available_drivers())
-        raise ValueError(
-            f"unknown driver {name!r}; available: {known}"
-        ) from None
-    return factory(config)
-
-
-def resume_driver(
-    path: Union[str, "Any"],
-    workers: Optional[int] = None,
-    rounds: Optional[int] = None,
-) -> Tuple[SearchDriver, Any]:
-    """Rebuild a driver from a :class:`DriverCheckpoint` file.
-
-    Returns ``(driver, resume_state)``; pass the state to
-    ``driver.run(control, resume_state=state)`` to continue the
-    interrupted run bit-identically.  ``workers`` optionally overrides
-    the checkpointed worker count (parallelism is an execution detail,
-    not part of the schedule -- results are identical either way);
-    ``rounds`` optionally extends or shortens the remaining schedule
-    (the rounds already behind the checkpoint are never replayed).
-    """
-    checkpoint = load_driver_checkpoint(path)
-    config = checkpoint.config
-    if workers is not None and workers != config.workers:
-        config = replace(config, workers=workers)
-    if rounds is not None and rounds != config.rounds:
-        config = replace(config, rounds=rounds)
-    return make_driver(checkpoint.driver, config), checkpoint.state
 
 
 class MultiStartDriver(SearchDriver):
@@ -479,8 +362,64 @@ class MultiStartDriver(SearchDriver):
         )
 
 
-register_driver(
-    "multistart",
-    MultiStartDriver,
-    "independent best-of-N restarts over consecutive seeds (default)",
-)
+# ``portfolio`` subclasses the base classes above, so it is imported
+# once they exist.
+from repro.engine.portfolio import PortfolioDriver  # noqa: E402
+
+DRIVERS: Dict[str, Tuple[type, str]] = {
+    "multistart": (
+        MultiStartDriver,
+        "independent best-of-N restarts over consecutive seeds (default)",
+    ),
+    "portfolio": (
+        PortfolioDriver,
+        "representation race with slot reallocation and elite migration",
+    ),
+}
+
+
+def available_drivers() -> Tuple[str, ...]:
+    """The driver names, sorted."""
+    return tuple(sorted(DRIVERS))
+
+
+def driver_descriptions() -> Dict[str, str]:
+    """``name -> one-line description`` for every driver, in sorted
+    name order."""
+    return {name: DRIVERS[name][1] for name in available_drivers()}
+
+
+def make_driver(name: str, config: DriverConfig) -> SearchDriver:
+    """Build the named driver for ``config``."""
+    try:
+        cls = DRIVERS[name][0]
+    except KeyError:
+        known = ", ".join(available_drivers())
+        raise ValueError(
+            f"unknown driver {name!r}; available: {known}"
+        ) from None
+    return cls(config)
+
+
+def resume_driver(
+    path: Union[str, "Any"],
+    workers: Optional[int] = None,
+    rounds: Optional[int] = None,
+) -> Tuple[SearchDriver, Any]:
+    """Rebuild a driver from a :class:`DriverCheckpoint` file.
+
+    Returns ``(driver, resume_state)``; pass the state to
+    ``driver.run(control, resume_state=state)`` to continue the
+    interrupted run bit-identically.  ``workers`` optionally overrides
+    the checkpointed worker count (parallelism is an execution detail,
+    not part of the schedule -- results are identical either way);
+    ``rounds`` optionally extends or shortens the remaining schedule
+    (the rounds already behind the checkpoint are never replayed).
+    """
+    checkpoint = load_driver_checkpoint(path)
+    config = checkpoint.config
+    if workers is not None and workers != config.workers:
+        config = replace(config, workers=workers)
+    if rounds is not None and rounds != config.rounds:
+        config = replace(config, rounds=rounds)
+    return make_driver(checkpoint.driver, config), checkpoint.state

@@ -44,12 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.drivers import (
-    DriverConfig,
-    SearchDriver,
-    SearchResult,
-    register_driver,
-)
+from repro.engine.drivers import DriverConfig, SearchDriver, SearchResult
 from repro.engine.engine import AnnealEngine, EngineResult
 from repro.engine.multistart import ObjectiveSpec, RunReport
 from repro.engine.representation import make_representation
@@ -478,10 +473,3 @@ class PortfolioDriver(SearchDriver):
             checkpoints_written=checkpoints_written,
             ledger={"arms": list(arms), "rounds": round_ledger},
         )
-
-
-register_driver(
-    "portfolio",
-    PortfolioDriver,
-    "representation race with slot reallocation and elite migration",
-)

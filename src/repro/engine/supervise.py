@@ -4,12 +4,11 @@ Worker supervision: wall-clock watchdogs per job, bounded retries with
 exponential backoff, pool teardown-and-rebuild on a crash or hang, and
 degradation to sequential execution when the pool keeps dying.  Every
 search driver needs exactly that machinery -- multistart supervises
-restarts, replica-exchange tempering supervises per-round replica
-sweeps, the portfolio driver supervises per-round representation legs
--- so this module hosts it once, generalized over *jobs*.
+restarts, the portfolio driver supervises per-round representation
+legs -- so this module hosts it once, generalized over *jobs*.
 
-A job is addressed by an integer ``key`` (a seed, a replica id, a leg
-seed); the runner calls a **module-level picklable function** ``fn``
+A job is addressed by an integer ``key`` (a seed or a leg seed); the
+runner calls a **module-level picklable function** ``fn``
 with ``make_args(key, attempt, mode)`` positional arguments (e.g.
 :func:`~repro.engine.multistart._run_restart` for multistart).
 Results land in a ``key -> result`` dict and every

@@ -12,8 +12,8 @@ suite asserts it).  Four pieces:
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) -- the one
   recorder: phase timers that record self (exclusive) time, so nested
   rows add up to their root, plus counters, gauges and fixed-bucket
-  histograms (acceptance rate by temperature, per-rung swap
-  acceptance, per-arm slots, cache hit rates, supervision incidents);
+  histograms (acceptance rate by temperature, per-arm slots, cache
+  hit rates, supervision incidents);
 * :class:`ProgressSnapshot` / :class:`ObsPlan`
   (:mod:`repro.obs.progress`) -- workers collect periodic convergence
   samples (cost, temperature, top-k congestion density) that ride the

@@ -11,8 +11,7 @@ and histograms.
 * **gauges**: last-written values (current temperature, best cost,
   per-cache hit rates);
 * **fixed-bucket histograms**: distributions of per-step signals --
-  move acceptance rate by temperature step, per-rung swap acceptance,
-  per-arm slot allocations.
+  move acceptance rate by temperature step, per-arm slot allocations.
 
 Everything snapshots to plain JSON (:meth:`MetricsRegistry.snapshot`)
 and merges additively (:meth:`MetricsRegistry.merge_snapshot`), so

@@ -10,7 +10,7 @@ coordinator merges them into the trace and the per-job
 the same snapshots live into the tracer as they happen.
 
 :class:`ObsPlan` is the picklable *recipe* shipped to workers -- how
-often to snapshot (in temperature steps / rounds) and how many top
+often to snapshot (in temperature steps) and how many top
 congestion densities to attach; the worker builds a fresh
 :class:`~repro.obs.observe.RunObserver` from it.  Snapshot-time
 congestion (:func:`top_congestion_densities`) only ever *reads* the
@@ -80,11 +80,10 @@ class ProgressSnapshot:
 class ObsPlan:
     """Picklable worker-side observability recipe.
 
-    ``progress_every`` is the snapshot cadence in temperature steps
-    (annealing runs) or rounds (tempering sweeps); 0 disables
-    collection entirely.  ``top_k`` is how many top congestion-cell
-    densities each snapshot carries (0 skips the extra congestion
-    evaluation).
+    ``progress_every`` is the snapshot cadence in temperature steps;
+    0 disables collection entirely.  ``top_k`` is how many top
+    congestion-cell densities each snapshot carries (0 skips the extra
+    congestion evaluation).
     """
 
     progress_every: int = 0

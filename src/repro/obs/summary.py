@@ -4,7 +4,7 @@ Reads a ``--trace`` JSONL file back through the schema validator and
 condenses it into a :class:`TraceSummary`: wall-clock attributed to
 span names (``span_start``/``span_end`` pairs matched by span id),
 event counts, the convergence series from ``progress`` (or, failing
-that, ``temperature_step``) records, swap/migration tallies, and the
+that, ``temperature_step``) records, the migration tally, and the
 final aggregated metrics dump.  :func:`format_trace_summary` renders
 it for terminals -- tables plus an ASCII best-cost curve via
 :func:`repro.viz.render_series_ascii` -- and powers the ``floorplan
@@ -42,8 +42,6 @@ class TraceSummary:
     event_counts: Dict[str, int] = field(default_factory=dict)
     progress: List[Dict[str, Any]] = field(default_factory=list)
     best_costs: List[float] = field(default_factory=list)
-    swaps_proposed: int = 0
-    swaps_accepted: int = 0
     migrations: int = 0
     metrics: Optional[Dict[str, Any]] = None
 
@@ -60,8 +58,6 @@ class TraceSummary:
             "event_counts": dict(sorted(self.event_counts.items())),
             "n_progress": len(self.progress),
             "best_costs": list(self.best_costs),
-            "swaps_proposed": self.swaps_proposed,
-            "swaps_accepted": self.swaps_accepted,
             "migrations": self.migrations,
             "metrics": self.metrics,
         }
@@ -105,10 +101,6 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
             counts[f"event:{name}"] += 1
             if name == "temperature_step" and "best_cost" in attrs:
                 step_best.append(float(attrs["best_cost"]))
-            elif name == "swap":
-                summary.swaps_proposed += 1
-                if attrs.get("accepted"):
-                    summary.swaps_accepted += 1
             elif name == "migration":
                 summary.migrations += 1
     summary.event_counts = dict(counts)
@@ -181,11 +173,6 @@ def format_trace_summary(summary: TraceSummary, width: int = 60) -> str:
             render_series_ascii(
                 summary.best_costs, width=width, label="best cost"
             )
-        )
-    if summary.swaps_proposed:
-        lines.append(
-            f"replica swaps: {summary.swaps_accepted}/"
-            f"{summary.swaps_proposed} accepted"
         )
     if summary.migrations:
         lines.append(f"champion migrations: {summary.migrations}")

@@ -3,7 +3,7 @@
 A :class:`Tracer` writes one JSON object per line to a trace file --
 ``span_start`` / ``span_end`` pairs for nested phases (run -> round ->
 restart -> warmup/anneal), point ``event`` records for scheduling
-decisions (swaps, allocations, migrations, supervision incidents),
+decisions (allocations, migrations, supervision incidents),
 ``progress`` records for convergence snapshots, and ``metric`` records
 for aggregated registry dumps.  Every line carries a monotonic
 timestamp relative to the tracer's creation, so span durations are

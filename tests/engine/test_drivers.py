@@ -1,4 +1,4 @@
-"""Search-driver layer: registry, parity, resume, ledgers, reports.
+"""Search-driver layer: driver table, parity, resume, ledgers, reports.
 
 The driver contracts under test:
 
@@ -6,9 +6,8 @@ The driver contracts under test:
   a process pool (strict-parity walks run with
   ``strict_incremental=True``, so any full-vs-delta divergence raises
   inside the run);
-* tempering and portfolio **resume bit-identically** from a
-  round-boundary driver checkpoint -- same swap uniforms, same
-  allocation decisions, same final costs;
+* the portfolio **resumes bit-identically** from a round-boundary
+  driver checkpoint -- same allocation decisions, same final costs;
 * :class:`RunReport` / :class:`RestartFailure` round-trip **losslessly**
   through ``to_json`` / ``from_json`` and
   :func:`~repro.ioutil.atomic_write_json`.
@@ -23,7 +22,6 @@ import pytest
 from repro.anneal import GeometricSchedule
 from repro.engine import (
     DriverConfig,
-    MultiStartDriver,
     ObjectiveSpec,
     RestartFailure,
     RunControl,
@@ -33,7 +31,7 @@ from repro.engine import (
     load_checkpoint,
     load_driver_checkpoint,
     make_driver,
-    register_driver,
+    peek_checkpoint,
     resume_driver,
 )
 from repro.errors import CheckpointError
@@ -71,7 +69,7 @@ def _config(netlist, **overrides):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_drivers() == ("multistart", "portfolio", "tempering")
+        assert available_drivers() == ("multistart", "portfolio")
 
     def test_descriptions_cover_every_driver(self):
         descriptions = driver_descriptions()
@@ -82,15 +80,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown driver"):
             make_driver("genetic", _config(netlist))
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_driver("multistart", MultiStartDriver)
-
     def test_config_validation(self, netlist):
         with pytest.raises(ValueError, match="rounds"):
             _config(netlist, rounds=0)
-        with pytest.raises(ValueError, match="ladder_ratio"):
-            _config(netlist, ladder_ratio=1.5)
+        with pytest.raises(ValueError, match="t0_decay"):
+            _config(netlist, t0_decay=1.5)
         with pytest.raises(ValueError, match="representations"):
             _config(netlist, representations=())
 
@@ -106,10 +100,8 @@ class TestMultiStartDriver:
 class TestDriverParity:
     """200+ strict-checked moves per driver, sequential == pooled."""
 
-    @pytest.mark.parametrize("name", ["multistart", "tempering", "portfolio"])
+    @pytest.mark.parametrize("name", ["multistart", "portfolio"])
     def test_sequential_equals_pool(self, netlist, name):
-        # Even the shortest driver (tempering: 3 rungs x 2 rounds x 35
-        # moves per sweep) clears 200 strict-checked moves.
         sequential = make_driver(name, _config(netlist, workers=1)).run()
         pooled = make_driver(name, _config(netlist, workers=2)).run()
         assert sum(r.n_moves for r in sequential.results) >= 200
@@ -127,15 +119,9 @@ class TestDriverParity:
         # agree, not just the winner.
         assert sequential.ledger["rounds"] == pooled.ledger["rounds"]
 
-    def test_tempering_swap_sequence_identical(self, netlist):
-        sequential = make_driver("tempering", _config(netlist, workers=1)).run()
-        pooled = make_driver("tempering", _config(netlist, workers=2)).run()
-        assert sequential.ledger["swaps"] == pooled.ledger["swaps"]
-        assert sequential.ledger["ladder"] == pooled.ledger["ladder"]
-
 
 class TestDriverResume:
-    @pytest.mark.parametrize("name", ["tempering", "portfolio"])
+    @pytest.mark.parametrize("name", ["portfolio"])
     def test_resume_matches_straight_run(self, netlist, tmp_path, name):
         straight = make_driver(name, _config(netlist, rounds=3)).run()
         path = tmp_path / f"{name}.ckpt"
@@ -147,25 +133,6 @@ class TestDriverResume:
         assert resumed.best_cost == straight.best_cost
         assert resumed.costs == straight.costs
         assert resumed.ledger == straight.ledger
-
-    def test_tempering_swaps_reproduced_from_checkpoint(
-        self, netlist, tmp_path
-    ):
-        """The resumed run's *remaining* swap proposals use the exact
-        RNG stream the uninterrupted run would have consumed."""
-        straight = make_driver("tempering", _config(netlist, rounds=4)).run()
-        path = tmp_path / "t.ckpt"
-        partial = make_driver(
-            "tempering", _config(netlist, rounds=2, checkpoint_path=str(path))
-        ).run()
-        driver, state = resume_driver(path, rounds=4)
-        resumed = driver.run(resume_state=state)
-        n_partial = len(partial.ledger["swaps"])
-        assert resumed.ledger["swaps"][:n_partial] == partial.ledger["swaps"]
-        assert resumed.ledger["swaps"] == straight.ledger["swaps"]
-        assert [r.rng_state for r in resumed.results] == [
-            r.rng_state for r in straight.results
-        ]
 
     def test_resume_under_different_worker_count(self, netlist, tmp_path):
         straight = make_driver("portfolio", _config(netlist, rounds=3)).run()
@@ -211,12 +178,12 @@ class TestDriverResume:
         assert resumed.ledger == straight.ledger
 
     def test_checkpoint_stores_driver_name(self, netlist, tmp_path):
-        path = tmp_path / "t.ckpt"
+        path = tmp_path / "p.ckpt"
         make_driver(
-            "tempering", _config(netlist, checkpoint_path=str(path))
+            "portfolio", _config(netlist, checkpoint_path=str(path))
         ).run()
         checkpoint = load_driver_checkpoint(path)
-        assert checkpoint.driver == "tempering"
+        assert checkpoint.driver == "portfolio"
         assert checkpoint.config.restarts == 3
         assert checkpoint.state["round"] == 2
 
@@ -241,40 +208,32 @@ class TestDriverResume:
     ):
         path = tmp_path / "driver.ckpt"
         make_driver(
-            "tempering", _config(netlist, checkpoint_path=str(path))
+            "portfolio", _config(netlist, checkpoint_path=str(path))
         ).run()
-        with pytest.raises(CheckpointError, match="driver layer"):
+        with pytest.raises(
+            CheckpointError, match="driver layer \\(--driver portfolio"
+        ):
             load_checkpoint(path)
 
 
-class TestTemperingBehavior:
-    def test_ladder_is_geometric_and_hot_first(self, netlist):
-        result = make_driver("tempering", _config(netlist, restarts=4)).run()
-        ladder = result.ledger["ladder"]
-        assert len(ladder) == 4
-        assert ladder == sorted(ladder, reverse=True)
-        ratios = [ladder[i + 1] / ladder[i] for i in range(len(ladder) - 1)]
-        for r in ratios[1:]:
-            assert r == pytest.approx(ratios[0])
+class TestRemovedTemperingDriver:
+    """``data/tempering_removed.ckpt`` was written by the replica-
+    exchange driver before its removal (``random_circuit(8, 16,
+    seed=3)``, 2 rounds, a checkpoint every round).  Every loader names
+    the removal instead of calling the file corrupt."""
 
-    def test_swap_ledger_alternates_parity(self, netlist):
-        result = make_driver(
-            "tempering", _config(netlist, restarts=4, rounds=2)
-        ).run()
-        by_round = {}
-        for entry in result.ledger["swaps"]:
-            by_round.setdefault(entry["round"], []).append(entry["low"])
-        assert by_round[0] == [0, 2]
-        assert by_round[1] == [1]
+    SOURCE = Path(__file__).parent / "data" / "tempering_removed.ckpt"
 
-    def test_norms_shared_across_replicas(self, netlist):
-        """Swaps only make sense when energies are comparable; every
-        replica's breakdown must come from the same normalization."""
-        result = make_driver("tempering", _config(netlist)).run()
-        # All replicas annealed the same circuit under the same norms;
-        # their costs are on one scale (all within a sane band).
-        costs = result.costs
-        assert max(costs) < 10 * min(costs)
+    @pytest.mark.parametrize(
+        "load",
+        [load_driver_checkpoint, peek_checkpoint, resume_driver, load_checkpoint],
+        ids=lambda load: load.__name__,
+    )
+    def test_loader_names_the_removal(self, load):
+        with pytest.raises(
+            CheckpointError, match="tempering driver, which has been removed"
+        ):
+            load(self.SOURCE)
 
 
 class TestPortfolioBehavior:

@@ -94,12 +94,12 @@ def test_trace_subcommand_rejects_bad_input(tmp_path, capsys):
 
 
 def test_driver_run_traces_scheduling_ledger(circuit_path, tmp_path, capsys):
-    trace = tmp_path / "tempering.jsonl"
+    trace = tmp_path / "portfolio.jsonl"
     assert (
         main(
             [
                 "floorplan", str(circuit_path),
-                "--driver", "tempering", "--restarts", "2",
+                "--driver", "portfolio", "--restarts", "6",
                 "--rounds", "2", "--trace", str(trace),
                 "--metrics-every", "1",
             ]
@@ -108,8 +108,9 @@ def test_driver_run_traces_scheduling_ledger(circuit_path, tmp_path, capsys):
     )
     capsys.readouterr()
     summary = summarize_trace(trace)
-    assert summary.swaps_proposed >= 1
-    assert summary.progress  # replica snapshots reached the trace
+    assert summary.migrations >= 1
+    assert summary.event_counts["event:allocation"] == 2
+    assert summary.progress  # leg snapshots reached the trace
     assert "span:round" in summary.event_counts
     assert main(["trace", str(trace)]) == 0
-    assert "replica swaps" in capsys.readouterr().out
+    assert "champion migrations" in capsys.readouterr().out

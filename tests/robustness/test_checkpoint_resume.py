@@ -345,13 +345,13 @@ class TestPeekCheckpoint:
         save_driver_checkpoint(
             path,
             DriverCheckpoint(
-                driver="tempering", config={"rounds": 4}, state={"round": 2}
+                driver="portfolio", config={"rounds": 4}, state={"round": 2}
             ),
         )
         info = peek_checkpoint(path)
         assert info.kind == "driver"
-        assert info.driver == "tempering"
-        assert "driver checkpoint v1 (tempering)" in info.summary()
+        assert info.driver == "portfolio"
+        assert "driver checkpoint v1 (portfolio)" in info.summary()
 
     def test_peek_rejects_non_checkpoints(self, tmp_path):
         from repro.engine import peek_checkpoint

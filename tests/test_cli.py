@@ -1,6 +1,7 @@
 """CLI smoke tests (everything through main() with tiny workloads)."""
 
 import os
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -131,9 +132,9 @@ class TestRegistryListing:
     def test_list_drivers(self, capsys):
         assert main(["floorplan", "--list-drivers"]) == 0
         out = capsys.readouterr().out
-        for name in ("multistart", "tempering", "portfolio"):
+        for name in ("multistart", "portfolio"):
             assert name in out
-        assert "replica-exchange" in out
+        assert "representation race" in out
 
     def test_list_reprs(self, capsys):
         assert main(["floorplan", "--list-reprs"]) == 0
@@ -158,19 +159,6 @@ class TestDriverCli:
         target = tmp_path / "c.yal"
         main(["generate", str(target), "--modules", "4", "--nets", "6"])
         return target
-
-    def test_tempering_smoke(self, tmp_path, capsys):
-        circuit = self._circuit(tmp_path)
-        assert main(
-            [
-                "floorplan", str(circuit),
-                "--driver", "tempering",
-                "--restarts", "2", "--rounds", "2",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "[tempering/" in out
-        assert "replica swaps:" in out
 
     def test_portfolio_smoke(self, tmp_path, capsys):
         circuit = self._circuit(tmp_path)
@@ -338,7 +326,7 @@ class TestFloorplanLanes:
             main(
                 [
                     "floorplan", "--resume", str(ckpt),
-                    "--driver", "tempering",
+                    "--driver", "portfolio",
                 ]
             )
 
@@ -347,7 +335,7 @@ class TestFloorplanLanes:
         ckpt = tmp_path / "drv.ckpt"
         assert main(
             [
-                "floorplan", str(circuit), "--driver", "tempering",
+                "floorplan", str(circuit), "--driver", "portfolio",
                 "--restarts", "2", "--rounds", "1",
                 "--checkpoint", str(ckpt),
             ]
@@ -356,6 +344,34 @@ class TestFloorplanLanes:
             SystemExit, match="error: .* is a search-driver checkpoint"
         ):
             main(["floorplan", "--resume", str(ckpt)])
+
+
+class TestRemovedTemperingCheckpoint:
+    """A checkpoint of the removed replica-exchange driver fails with
+    one ``error:`` line naming the removal, never a traceback."""
+
+    CKPT = str(
+        Path(__file__).parent / "engine" / "data" / "tempering_removed.ckpt"
+    )
+    REMOVED = "tempering driver, which has been removed"
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--driver", "portfolio"]], ids=["single", "portfolio"]
+    )
+    def test_resume_names_the_removal(self, extra):
+        with pytest.raises(SystemExit) as info:
+            main(["floorplan", "--resume", self.CKPT, *extra])
+        message = str(info.value.code)
+        assert message.startswith("error: ") and self.REMOVED in message
+        assert "\n" not in message
+
+    def test_peek_names_the_removal(self, capsys):
+        assert main(["peek", self.CKPT]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and self.REMOVED in lines[0]
 
 
 class TestServiceCommands:
