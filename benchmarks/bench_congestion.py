@@ -12,9 +12,9 @@ incremental pipeline:
 * ``ledger off``: ``use_ledger=False`` -- every evaluation rebuilds the
   mass from scratch through the (also vectorized) full batch path.
 
-Both runs use the sequence-pair representation, the general
-(non-slicing) floorplanner that FAST-SP packs in O(m log m), so the
-sweep shows which phase dominates once packing is no longer the wall.
+The sweep uses the sequence-pair representation, the general
+(non-slicing) floorplanner that FAST-SP packs in O(m log m), so it
+shows which phase dominates once packing is no longer the wall.
 The schedules are move-count-identical, so moves/sec is comparable
 even if the walks diverge by float dust; correctness is gated by a
 short strict-mode replay (``strict_incremental=True`` re-runs the full
@@ -46,7 +46,9 @@ The full run adds 1000/2000/5000-module workloads (4 nets per
 module).  ``ledger_counters`` splits the grid rebuilds:
 ``congestion_outline_rebuilt`` counts the evaluations whose dirty set
 the pipeline withheld because the chip outline changed.  ``--smoke``
-runs the 300-module workload on a reduced schedule and exits non-zero
+runs the 300-module workload on a reduced schedule, once with sequence
+pairs and once with B*-trees (the representation with the most full
+rebuilds, ``n300-btree``), and exits non-zero
 when the strict replay or a counter gate fails (including outline
 rebuilds outnumbering grid rebuilds), or when ``unattributed_share``
 leaves [0, 0.05] (time outside every timer, or counted twice) --
@@ -91,11 +93,11 @@ def _objective(netlist, grid_size: float, use_ledger: bool,
 
 
 def _run(netlist, grid_size, use_ledger, moves_per_temperature, schedule,
-         seed, strict=False):
+         seed, representation, strict=False):
     engine = AnnealEngine(
         netlist,
         objective=_objective(netlist, grid_size, use_ledger, strict),
-        representation="sp",
+        representation=representation,
         seed=seed,
         moves_per_temperature=moves_per_temperature,
         schedule=schedule,
@@ -107,7 +109,7 @@ def _run(netlist, grid_size, use_ledger, moves_per_temperature, schedule,
     return result, wall
 
 
-def bench_workload(name, n_modules, n_nets, smoke, seed=7):
+def bench_workload(name, n_modules, n_nets, representation, smoke, seed=7):
     netlist = random_circuit(n_modules, n_nets, seed=seed)
     grid_size = max(math.sqrt(netlist.total_module_area) / 30.0, 1e-6)
     moves = 30 if smoke else 40
@@ -119,10 +121,12 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
     on_result, on_wall = _run(
         netlist, grid_size, use_ledger=True,
         moves_per_temperature=moves, schedule=schedule, seed=seed,
+        representation=representation,
     )
     off_result, off_wall = _run(
         netlist, grid_size, use_ledger=False,
         moves_per_temperature=moves, schedule=schedule, seed=seed,
+        representation=representation,
     )
 
     # Short strict replay: every delta evaluation re-checked against the
@@ -133,7 +137,7 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
             netlist, grid_size, use_ledger=True,
             moves_per_temperature=min(moves, 20),
             schedule=GeometricSchedule(cooling_rate=0.5, freeze_ratio=0.5),
-            seed=seed, strict=True,
+            seed=seed, representation=representation, strict=True,
         )
     except AssertionError as exc:
         strict_ok = False
@@ -170,6 +174,7 @@ def bench_workload(name, n_modules, n_nets, smoke, seed=7):
 
     row = {
         "name": name,
+        "representation": representation,
         "modules": n_modules,
         "nets": n_nets,
         "moves": on_result.n_moves,
@@ -215,9 +220,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="300-module workload only, reduced schedule; exit non-zero "
-        "when the strict replay, a counter gate or the unattributed-time "
-        "gate fails (CI mode)",
+        help="300-module workloads only (sp and btree), reduced "
+        "schedule; exit non-zero when the strict replay, a counter gate "
+        "or the unattributed-time gate fails (CI mode)",
     )
     parser.add_argument(
         "--out",
@@ -228,16 +233,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workloads = [("n300", 300, 1200)]
-    if not args.smoke:
+    workloads = [("n300", 300, 1200, "sp")]
+    if args.smoke:
+        workloads += [("n300-btree", 300, 1200, "btree")]
+    else:
         workloads += [
-            ("n1000", 1000, 4000),
-            ("n2000", 2000, 8000),
-            ("n5000", 5000, 20000),
+            ("n1000", 1000, 4000, "sp"),
+            ("n2000", 2000, 8000, "sp"),
+            ("n5000", 5000, 20000, "sp"),
         ]
     rows = [
-        bench_workload(name, m, n, smoke=args.smoke)
-        for name, m, n in workloads
+        bench_workload(name, m, n, rep, smoke=args.smoke)
+        for name, m, n, rep in workloads
     ]
 
     payload = {

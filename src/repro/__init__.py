@@ -73,7 +73,6 @@ from repro.engine import (
     install_signal_handlers,
     load_checkpoint,
     make_representation,
-    register_representation,
     save_checkpoint,
 )
 from repro.errors import (
@@ -137,7 +136,6 @@ __all__ = [
     "Representation",
     "available_representations",
     "make_representation",
-    "register_representation",
     # fault tolerance
     "Checkpoint",
     "RunControl",

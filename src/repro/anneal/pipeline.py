@@ -434,14 +434,19 @@ class CongestionStage:
         """Whether congestion participates in the objective."""
         return self.model is not None
 
-    def estimate_arrays_ledger(self, chip, edges: TwoPinArrays, ledger, dirty):
+    def estimate_arrays_ledger(
+        self, chip, edges: TwoPinArrays, ledger, dirty, old=None
+    ):
         """Ledger-carrying congestion cost: ``(score, new_ledger)``.
 
-        ``ledger`` / ``dirty`` describe the previously evaluated state
-        (see :meth:`CongestionModel.estimate_arrays_ledger`); models
-        without a delta path return ``(score, None)``.
+        ``ledger`` / ``dirty`` / ``old`` describe the previously
+        evaluated state (see
+        :meth:`CongestionModel.estimate_arrays_ledger`); models without
+        a delta path return ``(score, None)``.
         """
-        return self.model.estimate_arrays_ledger(chip, edges, ledger, dirty)
+        return self.model.estimate_arrays_ledger(
+            chip, edges, ledger, dirty, old
+        )
 
     def estimate(self, chip, two_pin_nets) -> float:
         """Congestion cost of ``TwoPinNet`` objects (the seed path and
@@ -710,8 +715,24 @@ class EvaluationPipeline:
             else:
                 state = prev
             edges = state.edges
+            dirty_edges = None
+            old_edges = None
             if pins_changed:
                 dirty = np.logical_or.reduceat(changed, topology.starts[:-1])
+                if self.aggregator.gamma > 0 and not chip_changed:
+                    # The congestion delta rebuilds the dirty edges' old
+                    # blocks from their previous geometry: gather it now,
+                    # because ``state`` may be ``prev`` itself, whose
+                    # rows the MST fill overwrites in place.
+                    dirty_edges = np.nonzero(dirty[topology.edge_owner])[0]
+                    p = prev.edges
+                    old_edges = TwoPinArrays(
+                        p.p1x[dirty_edges],
+                        p.p1y[dirty_edges],
+                        p.p2x[dirty_edges],
+                        p.p2y[dirty_edges],
+                        p.weights[dirty_edges],
+                    )
                 with self.perf.timeit("mst"):
                     self.perf.count(
                         "nets_redone",
@@ -732,21 +753,17 @@ class EvaluationPipeline:
             # A changed pin always changes its net's edge geometry, and
             # a changed outline moves the routing-range clamp, so any
             # fall-through here must re-estimate.  The dirty *edge* set
-            # (every edge owned by a dirty net) plus the previously
-            # evaluated state's ledger lets the model take its O(dirty)
-            # delta path when the merged grid held still; a chip change
-            # invalidates every edge's clamp, so it forces the full
-            # path by withholding the dirty set.
-            if pins_changed and not chip_changed:
-                dirty_edges = np.nonzero(dirty[topology.edge_owner])[0]
-            else:
-                # Only a changed outline reaches here (unchanged pins
-                # and chip returned above): count why the grid rebuilds.
-                dirty_edges = None
+            # (every edge owned by a dirty net), its previous geometry
+            # and the previously evaluated state's ledger let the model
+            # take its O(dirty) delta path when the merged grid held
+            # still; a chip change invalidates every edge's clamp, so it
+            # forces the full path by withholding the dirty set.
+            if chip_changed:
                 self.perf.count("congestion_outline_rebuilt")
             with self.perf.timeit("congestion"):
                 cgt, ledger = self.congestion.estimate_arrays_ledger(
-                    chip, edges, prev.congestion_ledger, dirty_edges
+                    chip, edges, prev.congestion_ledger, dirty_edges,
+                    old_edges,
                 )
             state.congestion_ledger = ledger
 

@@ -28,6 +28,7 @@ from repro.anneal import FloorplanObjective
 from repro.congestion import FixedGridModel, IrregularGridModel, JudgingModel
 from repro.data import MCNC_CIRCUITS, load_mcnc, read_yal, write_yal
 from repro.engine import available_drivers
+from repro.engine.representation import REPRESENTATIONS
 from repro.experiments.config import active_profile, circuit_config
 from repro.experiments.exp1 import format_experiment1, run_experiment1
 from repro.experiments.exp2 import format_experiment2, run_experiment2
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument(
         "--repr",
         dest="representation",
-        choices=("polish", "sp", "btree"),
+        choices=tuple(REPRESENTATIONS),
         default="polish",
         help="floorplan representation to anneal over",
     )
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument(
         "--list-reprs",
         action="store_true",
-        help="list the registered floorplan representations and exit",
+        help="list the floorplan representations and exit",
     )
     fp.add_argument(
         "--workers",

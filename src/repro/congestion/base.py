@@ -136,16 +136,18 @@ class CongestionModel(abc.ABC):
         return self.estimate(chip, nets)
 
     def estimate_arrays_ledger(
-        self, chip: Rect, arr: TwoPinArrays, ledger=None, dirty=None
+        self, chip: Rect, arr: TwoPinArrays, ledger=None, dirty=None, old=None
     ):
         """:meth:`estimate_arrays` with optional delta-state carry.
 
-        Returns ``(score, new_ledger)``.  ``ledger`` is the committed
-        state's :class:`~repro.congestion.ledger.CongestionLedger` (or
-        ``None``) and ``dirty`` the indices of the edges that changed
-        since it was recorded; models that can re-estimate O(dirty)
-        override this.  The generic implementation ignores both and
-        carries no ledger, which is always correct -- callers fall back
-        to a full evaluation whenever the returned ledger is ``None``.
+        Returns ``(score, new_ledger)``.  ``ledger`` is the previously
+        evaluated state's
+        :class:`~repro.congestion.ledger.CongestionLedger` (or
+        ``None``), ``dirty`` the indices of the edges that changed since
+        it was recorded and ``old`` those edges' previous geometry;
+        models that can re-estimate O(dirty) override this.  The
+        generic implementation ignores all three and carries no ledger,
+        which is always correct -- callers fall back to a full
+        evaluation whenever the returned ledger is ``None``.
         """
         return self.estimate_arrays(chip, arr), None

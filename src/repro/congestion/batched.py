@@ -23,9 +23,10 @@ so the same pipeline evaluates an arbitrary *subset* of the edge rows
 -- the congestion ledger's O(dirty) delta path
 (:mod:`repro.congestion.ledger`) frames only a move's dirty edges and
 gets values identical to the full batch restricted to those rows.
-:func:`batched_edge_contributions` is that entry point; it returns each
-edge's covered flat cell indices and weighted probabilities in CSR
-layout.
+:func:`batched_edge_contributions` is that entry point; it returns the
+covered flat cell indices and weighted probabilities of the requested
+edges, back to back in row order.  The ledger calls it twice per
+delta: on the dirty edges' new geometry and on their previous one.
 
 The semantics are identical to the scalar Algorithm:
 
@@ -65,17 +66,15 @@ __all__ = [
 
 
 class EdgeContributions(NamedTuple):
-    """Per-edge congestion contributions in CSR layout.
+    """Congestion contributions of a batch of edges, edge after edge.
 
-    ``counts[e]`` cells belong to edge ``e`` (0 for edges covering
-    nothing), stored at ``cells[offsets[e] : offsets[e] + counts[e]]``
-    as flat ``col * n_rows + row`` indices with the matching
-    weight-scaled probabilities in ``values``.  Scattering every value
-    into a zeroed mass array reproduces the batched mass evaluation of
-    the same edges (to float-summation order)."""
+    ``cells`` are flat ``col * n_rows + row`` indices and ``values``
+    the matching weight-scaled probabilities; each edge's block is
+    contiguous and the blocks follow the requested row order.
+    Scattering every value into a zeroed mass array reproduces the
+    batched mass evaluation of the same edges (to float-summation
+    order)."""
 
-    counts: np.ndarray
-    offsets: np.ndarray
     cells: np.ndarray
     values: np.ndarray
 
@@ -639,23 +638,24 @@ def _edge_blocks(
 ):
     """Weighted per-cell contributions of every edge in ``frame``.
 
-    Returns ``(deg, deg_data, idx, reg_data)``: the degenerate and
-    regular edge index sets with their ``(counts, flat_cells, values)``
-    triples (``None`` when the set is empty).  ``values`` are already
-    weight-scaled; flat cell indices are ``col * n_rows + row``.
+    Returns a list of ``(edges, counts, flat_cells, values)`` groups:
+    the degenerate edges first, then the regular ones, each group only
+    when nonempty.  ``edges`` are frame row indices, ``counts`` their
+    covered-cell counts, ``values`` already weight-scaled; flat cell
+    indices are ``col * n_rows + row``.
     """
     n_rows_total = frame.n_rows
+    groups = []
     deg = np.nonzero(frame.degenerate)[0]
-    deg_data = None
     if len(deg):
         counts_d, _, _, _, _, col_d, row_d = _cell_enumeration(frame, deg)
-        deg_data = (
+        groups.append((
+            deg,
             counts_d,
             col_d * n_rows_total + row_d,
             np.repeat(frame.weights[deg], counts_d),
-        )
+        ))
     idx = np.nonzero(~frame.degenerate)[0]
-    reg_data = None
     if len(idx):
         if cache is not None:
             prob, counts, _ = _memo_probabilities(
@@ -666,39 +666,13 @@ def _edge_blocks(
             prob, col, row, counts, _ = _flat_probabilities(
                 frame, idx, panels, paper_bounds, exact_cache
             )
-        reg_data = (
+        groups.append((
+            idx,
             counts,
             col * n_rows_total + row,
             np.repeat(frame.weights[idx], counts) * prob,
-        )
-    return deg, deg_data, idx, reg_data
-
-
-def _assemble_contributions(
-    n_edges: int, deg, deg_data, idx, reg_data
-) -> EdgeContributions:
-    """Merge the degenerate/regular blocks into edge-order CSR arrays."""
-    counts_all = np.zeros(n_edges, dtype=np.int64)
-    if deg_data is not None:
-        counts_all[deg] = deg_data[0]
-    if reg_data is not None:
-        counts_all[idx] = reg_data[0]
-    offsets_all = np.concatenate(
-        [[0], np.cumsum(counts_all)[:-1]]
-    ).astype(np.int64)
-    total = int(counts_all.sum())
-    cells_all = np.empty(total, dtype=np.int64)
-    values_all = np.empty(total)
-    for sub, data in ((deg, deg_data), (idx, reg_data)):
-        if data is None:
-            continue
-        counts, flat, vals = data
-        inner = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        within = np.arange(len(flat)) - np.repeat(inner, counts)
-        dest = np.repeat(offsets_all[sub], counts) + within
-        cells_all[dest] = flat
-        values_all[dest] = vals
-    return EdgeContributions(counts_all, offsets_all, cells_all, values_all)
+        ))
+    return groups
 
 
 def batched_approx_mass(
@@ -739,47 +713,28 @@ def batched_approx_mass_arrays(
     paper_bounds: bool = False,
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
-    want_contributions: bool = False,
 ):
     """:func:`batched_approx_mass` over a :class:`TwoPinArrays` batch.
 
     The annealer's fast lane: endpoint arrays go straight into the
     broadcast kernel with no per-net attribute reads.  Identical output
     to the net-object entry point for the same edge geometry.
-
-    ``want_contributions=True`` additionally returns the per-edge
-    :class:`EdgeContributions` CSR the congestion ledger records --
-    assembled from the very flat vectors the mass scatter consumed, so
-    the extra cost is a few gathers, not a recomputation.  The return
-    value is then ``(mass, contributions)``.
     """
     mass = np.zeros((irgrid.n_columns, irgrid.n_rows))
     if not len(arr):
-        if want_contributions:
-            return mass, _assemble_contributions(0, None, None, None, None)
         return mass
 
     frame = _frame_edges(irgrid, arr, grid_size)
-    deg, deg_data, idx, reg_data = _edge_blocks(
-        frame, panels, paper_bounds, cache, exact_cache
-    )
-
     # ``bincount`` over flattened indices is several times faster than
     # ``np.add.at`` for this scatter; both paths (cached and not) use
     # it, so their summation order -- hence every last bit -- agrees.
     # Degenerate nets accumulate first into the zeroed array, then the
     # regular nets: the same order the per-net adds it replaced used.
-    if deg_data is not None:
+    for _, _, cells, values in _edge_blocks(
+        frame, panels, paper_bounds, cache, exact_cache
+    ):
         mass.ravel()[:] += np.bincount(
-            deg_data[1], weights=deg_data[2], minlength=mass.size
-        )
-    if reg_data is not None:
-        mass.ravel()[:] += np.bincount(
-            reg_data[1], weights=reg_data[2], minlength=mass.size
-        )
-    if want_contributions:
-        return mass, _assemble_contributions(
-            len(arr), deg, deg_data, idx, reg_data
+            cells, weights=values, minlength=mass.size
         )
     return mass
 
@@ -787,28 +742,32 @@ def batched_approx_mass_arrays(
 def batched_edge_contributions(
     irgrid: IRGrid,
     arr: TwoPinArrays,
-    rows: np.ndarray,
     grid_size: float,
+    rows: Optional[np.ndarray] = None,
     panels: int = 8,
     paper_bounds: bool = False,
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
 ) -> EdgeContributions:
-    """Per-edge contributions of the subset ``rows`` of ``arr``.
+    """Contributions of the edge rows ``rows`` of ``arr`` (all of them
+    when ``None``), one block per edge in row order.
 
     The congestion ledger's O(dirty) lane: frames only the requested
-    edge rows against ``irgrid`` and returns their CSR contribution
-    blocks (in ``rows`` order).  Because every framing operation is
+    edge rows against ``irgrid``.  Because every framing operation is
     elementwise per edge, the values equal what a full-batch
     evaluation would assign those same edges -- the property the
     ledger's subtract-old/add-new delta depends on, asserted to 1e-12
     by strict mode and the property suite.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if not len(rows):
-        return _assemble_contributions(0, None, None, None, None)
     frame = _frame_edges(irgrid, arr, grid_size, rows=rows)
-    deg, deg_data, idx, reg_data = _edge_blocks(
-        frame, panels, paper_bounds, cache, exact_cache
-    )
-    return _assemble_contributions(len(rows), deg, deg_data, idx, reg_data)
+    groups = _edge_blocks(frame, panels, paper_bounds, cache, exact_cache)
+    if not groups:
+        return EdgeContributions(np.empty(0, dtype=np.int64), np.empty(0))
+    # The degenerate and regular edges come back as two groups; a
+    # stable sort on the owning row interleaves their blocks into row
+    # order while keeping each block's cells in kernel order.
+    owner = np.concatenate([np.repeat(e, n) for e, n, _, _ in groups])
+    order = np.argsort(owner, kind="stable")
+    cells = np.concatenate([c for _, _, c, _ in groups])[order]
+    values = np.concatenate([v for _, _, _, v in groups])[order]
+    return EdgeContributions(cells, values)

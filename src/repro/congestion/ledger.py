@@ -13,11 +13,15 @@ committed grid's:
   already-occupied positions (or is rejected back onto the committed
   state) reproduces the committed grid *exactly*, detectable with two
   ``np.array_equal`` calls;
-* the ledger stores the committed mass array plus every edge's last
-  scatter block (flat CSR: covered cell indices + weight-scaled
-  probabilities, in edge order), so the candidate's mass is
-  ``committed_mass - sum(dirty old blocks) + sum(dirty new blocks)``
-  over only the dirty edges.
+* the ledger is a snapshot: the merged cut lines, the committed mass
+  array and an age, nothing per edge.  The candidate's mass is
+  ``committed_mass - sum(dirty old blocks) + sum(dirty new blocks)``,
+  where the old blocks are rebuilt from the dirty edges' *previous*
+  geometry framed against the same grid.  A delta needs equal cut
+  lines and an unchanged chip (the pipeline withholds the dirty set
+  when the outline moves), and framing is elementwise per edge, so the
+  rebuilt blocks are the ones the committed mass was scattered from --
+  out of the per-net memo on a hit, out of the same kernel on a miss.
 
 Delta accumulation reorders float additions relative to the full-batch
 scatter, so a ledger-built mass agrees with a from-scratch evaluation
@@ -25,75 +29,36 @@ to float-summation dust (~1e-14 relative), not bitwise; strict mode
 asserts the 1e-12 contract every evaluation, and the ``age`` counter
 bounds drift by forcing a periodic full rebuild
 (:attr:`IrregularGridModel.ledger_refresh`).
-
-All CSR surgery here is pure vectorized gather/scatter (repeat/cumsum/
-arange enumeration) -- no per-edge Python anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from repro.congestion.batched import EdgeContributions
-
 __all__ = ["CongestionLedger"]
-
-
-def _csr_positions(
-    offsets: np.ndarray, counts: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Flat positions of every element of the CSR rows in ``rows``.
-
-    Repeat/cumsum enumeration: element ``e`` of selected row ``r`` maps
-    to ``offsets[r] + e``, all rows back to back in ``rows`` order.
-    """
-    cnt = counts[rows]
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    inner = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-    within = np.arange(total) - np.repeat(inner, cnt)
-    return np.repeat(offsets[rows], cnt) + within
 
 
 class CongestionLedger:
     """One committed floorplan's congestion state, delta-updatable.
 
     Immutable by convention: the delta path builds a *new* ledger for
-    the candidate state (sharing the clean edges' CSR data by copy)
-    and leaves the committed one untouched, so the pipeline's
-    reject-by-reference-swap transaction protocol needs no rollback
-    hooks here.
+    the candidate state and leaves the committed one untouched, so the
+    pipeline's reject-by-reference-swap transaction protocol needs no
+    rollback hooks here.
     """
 
-    __slots__ = (
-        "x_lines",
-        "y_lines",
-        "mass",
-        "counts",
-        "offsets",
-        "cells",
-        "values",
-        "age",
-    )
+    __slots__ = ("x_lines", "y_lines", "mass", "age")
 
     def __init__(
         self,
         x_lines: np.ndarray,
         y_lines: np.ndarray,
         mass: np.ndarray,
-        contributions: EdgeContributions,
         age: int = 0,
     ):
         self.x_lines = x_lines
         self.y_lines = y_lines
         self.mass = mass
-        self.counts = contributions.counts
-        self.offsets = contributions.offsets
-        self.cells = contributions.cells
-        self.values = contributions.values
         self.age = age
 
     def matches(self, x_lines: np.ndarray, y_lines: np.ndarray) -> bool:
@@ -102,57 +67,3 @@ class CongestionLedger:
         return np.array_equal(self.x_lines, x_lines) and np.array_equal(
             self.y_lines, y_lines
         )
-
-    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cells, values)`` of the CSR rows in ``rows``, flattened."""
-        pos = _csr_positions(self.offsets, self.counts, rows)
-        return self.cells[pos], self.values[pos]
-
-    def replaced(
-        self,
-        rows: np.ndarray,
-        fresh: EdgeContributions,
-        mass: np.ndarray,
-        x_lines: Optional[np.ndarray] = None,
-        y_lines: Optional[np.ndarray] = None,
-    ) -> "CongestionLedger":
-        """A new ledger with the CSR rows in ``rows`` replaced by
-        ``fresh`` (whose row ``k`` is edge ``rows[k]``) and ``mass``
-        installed as the committed mass.  ``age`` advances by one; the
-        cut-line arrays carry over unless new ones are given.
-
-        Clean rows' cell/value data is block-copied through one gather
-        per side -- no per-edge Python.
-        """
-        n = len(self.counts)
-        counts = self.counts.copy()
-        counts[rows] = fresh.counts
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
-            np.int64
-        )
-        total = int(counts.sum())
-        cells = np.empty(total, dtype=np.int64)
-        values = np.empty(total)
-
-        keep = np.ones(n, dtype=bool)
-        keep[rows] = False
-        keep_rows = np.nonzero(keep)[0]
-        src = _csr_positions(self.offsets, self.counts, keep_rows)
-        dst = _csr_positions(offsets, counts, keep_rows)
-        cells[dst] = self.cells[src]
-        values[dst] = self.values[src]
-
-        dst_new = _csr_positions(offsets, counts, rows)
-        cells[dst_new] = fresh.cells
-        values[dst_new] = fresh.values
-
-        out = CongestionLedger.__new__(CongestionLedger)
-        out.x_lines = self.x_lines if x_lines is None else x_lines
-        out.y_lines = self.y_lines if y_lines is None else y_lines
-        out.mass = mass
-        out.counts = counts
-        out.offsets = offsets
-        out.cells = cells
-        out.values = values
-        out.age = self.age + 1
-        return out

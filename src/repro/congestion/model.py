@@ -239,23 +239,26 @@ class IrregularGridModel(CongestionModel):
         return self._score_mass(irgrid, mass)
 
     def estimate_arrays_ledger(
-        self, chip: Rect, arr, ledger=None, dirty=None
+        self, chip: Rect, arr, ledger=None, dirty=None, old=None
     ) -> Tuple[float, Optional[CongestionLedger]]:
         """:meth:`estimate_arrays` with the committed-grid delta path.
 
-        ``ledger`` is the committed state's
-        :class:`~repro.congestion.ledger.CongestionLedger` and ``dirty``
+        ``ledger`` is the previously evaluated state's
+        :class:`~repro.congestion.ledger.CongestionLedger`, ``dirty``
         the indices (into ``arr``) of the edges whose geometry changed
-        since it was recorded.  When the candidate's merged cut lines
-        equal the ledger's (the ``np.array_equal`` fingerprint) and the
-        ledger has delta budget left, the new mass is
-        ``committed_mass - dirty old blocks + dirty new blocks`` over
-        only the dirty edges -- O(dirty), counted as
-        ``congestion_delta``/``ledger_hits``.  Otherwise the full batch
-        runs and records a fresh ledger (``congestion_grid_rebuilt``).
-        Returns ``(score, new_ledger)``; the committed ledger is never
-        mutated, so a rejected candidate rolls back by dropping the
-        returned one.
+        since it was recorded, and ``old`` those edges' previous
+        geometry (a :class:`~repro.netlist.TwoPinArrays` whose row
+        ``k`` is edge ``dirty[k]`` as the ledger saw it).  The caller
+        guarantees an unchanged chip.  When the candidate's merged cut
+        lines equal the ledger's (the ``np.array_equal`` fingerprint)
+        and the ledger has delta budget left, the new mass is
+        ``committed_mass - old blocks + new blocks`` over only the
+        dirty edges, both framed against the same grid -- O(dirty),
+        counted as ``congestion_delta``/``ledger_hits``.  Otherwise the
+        full batch runs and records a fresh ledger
+        (``congestion_grid_rebuilt``).  Returns ``(score, new_ledger)``;
+        the committed ledger is never mutated, so a rejected candidate
+        rolls back by dropping the returned one.
         """
         if self.method != "approx":
             return super().estimate_arrays(chip, arr), None
@@ -263,66 +266,54 @@ class IrregularGridModel(CongestionModel):
             irgrid = build_irgrid_arrays(
                 chip, arr, self.grid_size, self.merge_factor
             )
+        x_lines = np.asarray(irgrid.x_lines.lines)
+        y_lines = np.asarray(irgrid.y_lines.lines)
         ctx = self._context()
-        cache = ctx.net_mass if ctx else None
-        exact_cache = ctx.exact_prob if ctx else None
+        kernel_args = dict(
+            panels=self.panels,
+            paper_bounds=self.paper_bounds,
+            cache=ctx.net_mass if ctx else None,
+            exact_cache=ctx.exact_prob if ctx else None,
+        )
         if (
             self.use_ledger
             and ledger is not None
             and dirty is not None
+            and old is not None
             and ledger.age < self.ledger_refresh
-            and ledger.matches(
-                np.asarray(irgrid.x_lines.lines),
-                np.asarray(irgrid.y_lines.lines),
-            )
+            and ledger.matches(x_lines, y_lines)
         ):
             self.perf.count("ledger_hits")
             with self.perf.timeit("congestion.mass_eval"):
-                rows = np.asarray(dirty, dtype=np.intp)
                 fresh = batched_edge_contributions(
-                    irgrid,
-                    arr,
-                    rows,
-                    self.grid_size,
-                    panels=self.panels,
-                    paper_bounds=self.paper_bounds,
-                    cache=cache,
-                    exact_cache=exact_cache,
+                    irgrid, arr, self.grid_size, rows=dirty, **kernel_args
                 )
+                stale = batched_edge_contributions(
+                    irgrid, old, self.grid_size, **kernel_args
+                )
+                # The old blocks are finite: a ledger is only recorded
+                # over a finite mass.
                 if np.isfinite(fresh.values).all():
                     mass = ledger.mass.copy()
                     flat = mass.ravel()
-                    old_cells, old_values = ledger.gather(rows)
-                    np.add.at(flat, old_cells, np.negative(old_values))
+                    np.add.at(flat, stale.cells, np.negative(stale.values))
                     np.add.at(flat, fresh.cells, fresh.values)
-                    new_ledger = ledger.replaced(rows, fresh, mass)
                     self.perf.count("congestion_delta")
-                    return self._score_mass(irgrid, mass), new_ledger
+                    return self._score_mass(irgrid, mass), CongestionLedger(
+                        ledger.x_lines, ledger.y_lines, mass, ledger.age + 1
+                    )
             # Non-finite dirty contributions: fall through to the full
             # batch, whose exact rescue knows how to recover.
         self.perf.count("congestion_grid_rebuilt")
         with self.perf.timeit("congestion.mass_eval"):
-            mass, contrib = batched_approx_mass_arrays(
-                irgrid,
-                arr,
-                self.grid_size,
-                panels=self.panels,
-                paper_bounds=self.paper_bounds,
-                cache=cache,
-                exact_cache=exact_cache,
-                want_contributions=True,
+            mass = batched_approx_mass_arrays(
+                irgrid, arr, self.grid_size, **kernel_args
             )
             new_ledger = None
-            if np.isfinite(mass).all():
-                if self.use_ledger:
-                    new_ledger = CongestionLedger(
-                        np.asarray(irgrid.x_lines.lines),
-                        np.asarray(irgrid.y_lines.lines),
-                        mass,
-                        contrib,
-                    )
-            else:
+            if not np.isfinite(mass).all():
                 mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
+            elif self.use_ledger:
+                new_ledger = CongestionLedger(x_lines, y_lines, mass)
         return self._score_mass(irgrid, mass), new_ledger
 
     def densities_arrays(self, chip: Rect, arr) -> np.ndarray:

@@ -3,8 +3,8 @@
 One engine, four layers:
 
 1. **Representation** (:mod:`repro.engine.representation`) -- Polish
-   expressions, sequence pairs and B*-trees behind one string-keyed
-   registry of ``initial`` / ``neighbor`` / ``realize`` triples;
+   expressions, sequence pairs and B*-trees behind one name table of
+   ``initial`` / ``neighbor`` / ``realize`` triples;
 2. **Evaluation pipeline** (:mod:`repro.anneal.pipeline`) -- pin
    assignment -> MST decomposition -> congestion -> cost aggregation
    over one columnar state, with the dirty-net delta path;
@@ -54,10 +54,8 @@ from repro.engine.multistart import ObjectiveSpec, RestartFailure, RunReport
 from repro.engine.portfolio import PortfolioDriver
 from repro.engine.representation import (
     Representation,
-    RepresentationFactory,
     available_representations,
     make_representation,
-    register_representation,
     representation_descriptions,
 )
 from repro.engine.supervise import SupervisedRunner
@@ -81,10 +79,8 @@ __all__ = [
     "make_driver",
     "resume_driver",
     "Representation",
-    "RepresentationFactory",
     "available_representations",
     "make_representation",
-    "register_representation",
     "representation_descriptions",
     "CacheContext",
     "RunControl",

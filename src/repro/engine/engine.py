@@ -105,14 +105,14 @@ class EngineResult:
 
 
 class AnnealEngine:
-    """Anneal a circuit under any registered representation.
+    """Anneal a circuit under any representation.
 
     Parameters
     ----------
     netlist:
         The circuit.
     representation:
-        A registered name (``"polish"`` / ``"sp"`` / ``"btree"``) or a
+        A representation name (``"polish"`` / ``"sp"`` / ``"btree"``) or a
         prebuilt :class:`~repro.engine.representation.Representation`.
     objective:
         A ready :class:`FloorplanObjective`; the engine adopts its

@@ -1,4 +1,4 @@
-"""Floorplan representations behind one string-keyed registry.
+"""Floorplan representations behind one fixed name table.
 
 The three representations the repo anneals over -- normalized Polish
 expressions (Wong-Liu slicing), sequence pairs, and B*-trees -- differ
@@ -9,9 +9,9 @@ only in three functions:
 * ``realize(state) -> Floorplan``
 
 :class:`Representation` packages that triple, bound to one circuit;
-the registry maps short names (``"polish"`` / ``"sp"`` / ``"btree"``)
-to factories so the engine and the CLI select representations by
-string.  Factories receive the engine's
+:data:`REPRESENTATIONS` maps short names (``"polish"`` / ``"sp"`` /
+``"btree"``) to factories so the engine and the CLI select
+representations by string.  Factories receive the engine's
 :class:`~repro.perf.context.CacheContext` and thread the relevant
 cache into ``realize`` (only Polish packing memoizes today), keeping
 all memoization engine-scoped.
@@ -23,9 +23,8 @@ packing resembles a given placement (see
 to migrate elite solutions across representations; it is optional --
 a representation without it simply cannot receive migrants.
 
-The registry itself is write-once configuration (names -> factories
-registered at import or by extensions), not a result cache; it holds
-no per-run mutable state.
+The table is fixed configuration, not a result cache; it holds no
+per-run mutable state.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ from repro.perf.context import CacheContext
 
 __all__ = [
     "Representation",
-    "RepresentationFactory",
-    "register_representation",
+    "REPRESENTATIONS",
     "make_representation",
     "available_representations",
     "representation_descriptions",
@@ -79,41 +77,17 @@ class Representation:
     from_floorplan: Optional[Callable[[Floorplan], Any]] = None
 
 
-RepresentationFactory = Callable[
-    [Netlist, bool, Optional[CacheContext]], Representation
-]
-"""Signature of a registry entry:
-``factory(netlist, allow_rotation, cache_context) -> Representation``."""
-
-_FACTORIES: Dict[str, RepresentationFactory] = {}
-_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_representation(
-    name: str, factory: RepresentationFactory, description: str = ""
-) -> None:
-    """Register a representation factory under ``name``.
-
-    ``description`` is the one-line summary ``--list-reprs`` prints.
-    Raises :class:`ValueError` on a duplicate name -- silently
-    replacing a representation would change what every engine built
-    from that name means.
-    """
-    if name in _FACTORIES:
-        raise ValueError(f"representation {name!r} is already registered")
-    _FACTORIES[name] = factory
-    _DESCRIPTIONS[name] = description
-
-
 def available_representations() -> Tuple[str, ...]:
-    """The registered representation names, sorted."""
-    return tuple(sorted(_FACTORIES))
+    """The representation names, sorted."""
+    return tuple(sorted(REPRESENTATIONS))
 
 
 def representation_descriptions() -> Dict[str, str]:
-    """``name -> one-line description`` for every registered
-    representation, in sorted name order."""
-    return {name: _DESCRIPTIONS.get(name, "") for name in sorted(_FACTORIES)}
+    """``name -> one-line description`` for every representation, in
+    sorted name order."""
+    return {
+        name: REPRESENTATIONS[name][1] for name in available_representations()
+    }
 
 
 def make_representation(
@@ -129,7 +103,7 @@ def make_representation(
     representation-level memoization).
     """
     try:
-        factory = _FACTORIES[name]
+        factory = REPRESENTATIONS[name][0]
     except KeyError:
         known = ", ".join(available_representations())
         raise ValueError(
@@ -193,18 +167,19 @@ def _btree_factory(
     )
 
 
-register_representation(
-    "polish",
-    _polish_factory,
-    "normalized Polish expressions (Wong-Liu slicing trees)",
-)
-register_representation(
-    "sp",
-    _sp_factory,
-    "sequence pairs (Murata et al. longest-path packing)",
-)
-register_representation(
-    "btree",
-    _btree_factory,
-    "B*-trees (Chang et al. contour packing)",
-)
+REPRESENTATIONS: Dict[str, Tuple[Callable[..., Representation], str]] = {
+    "polish": (
+        _polish_factory,
+        "normalized Polish expressions (Wong-Liu slicing trees)",
+    ),
+    "sp": (
+        _sp_factory,
+        "sequence pairs (Murata et al. longest-path packing)",
+    ),
+    "btree": (
+        _btree_factory,
+        "B*-trees (Chang et al. contour packing)",
+    ),
+}
+"""``name -> (factory, one-line description)``; a factory is called as
+``factory(netlist, allow_rotation, cache_context)``."""

@@ -289,16 +289,12 @@ def poison_approx_mass(at_call: int = 1, value: float = float("nan")):
     real_nets = model_mod.batched_approx_mass
     state = {"calls": 0, "poisoned": False}
 
-    def _poison(result):
+    def _poison(mass):
         state["calls"] += 1
-        # ``want_contributions=True`` returns ``(mass, contributions)``.
-        mass = result[0] if isinstance(result, tuple) else result
         if state["calls"] == at_call and mass.size:
             mass = mass.copy()
             mass.ravel()[mass.size // 2] = value
             state["poisoned"] = True
-        if isinstance(result, tuple):
-            return (mass,) + result[1:]
         return mass
 
     def poisoned_arrays(*args, **kwargs):

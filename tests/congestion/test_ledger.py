@@ -3,11 +3,13 @@
 Two contracts, both hypothesis-driven:
 
 * chained ledger delta evaluations agree with a from-scratch reference
-  model to 1e-12 across randomized move sequences that mix
+  model to 1e-12 -- with the per-net memo on or off -- across
+  randomized move sequences that mix
   grid-preserving moves (pins shuffled among already-occupied lattice
   points, so the merged cut lines hold still and the O(dirty) path
   fires) with grid-changing ones (fresh lattice points force the full
-  rebuild);
+  rebuild); one deterministic case empties the memo before a delta,
+  so the old blocks it subtracts are recomputed by the kernel;
 * the selection-based ``_top_density_score`` equals the seed argsort
   greedy (:func:`area_weighted_top_fraction_mean`), including when the
   area target lands inside a group of equal-density cells.
@@ -92,12 +94,13 @@ def move_sequences(draw):
 
 
 class TestLedgerParity:
+    @pytest.mark.parametrize("use_cache", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(move_sequences())
-    def test_chained_delta_matches_full(self, seq):
+    def test_chained_delta_matches_full(self, use_cache, seq):
         coords, moves = seq
         model = IrregularGridModel(
-            GRID, use_cache=True, use_ledger=True, ledger_refresh=4
+            GRID, use_cache=use_cache, use_ledger=True, ledger_refresh=4
         )
         reference = IrregularGridModel(GRID, use_cache=False, use_ledger=False)
         arr = _arrays(coords)
@@ -105,13 +108,42 @@ class TestLedgerParity:
         full = reference.estimate_arrays(CHIP, arr)
         assert math.isclose(score, full, rel_tol=1e-12, abs_tol=1e-12)
         for dirty, new in moves:
+            old = _arrays(coords[dirty])
             coords[dirty] = new
             arr = _arrays(coords)
             score, ledger = model.estimate_arrays_ledger(
-                CHIP, arr, ledger, dirty
+                CHIP, arr, ledger, dirty, old
             )
             full = reference.estimate_arrays(CHIP, arr)
             assert math.isclose(score, full, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_memo_cold_old_blocks_match_full(self):
+        # The old blocks a delta subtracts are rebuilt from the previous
+        # geometry through the per-net memo.  With the memo emptied
+        # between the recorded state and the delta (as an eviction
+        # would), the kernel recomputes them and the delta must still
+        # agree with a from-scratch evaluation.
+        coords = np.array(
+            [[2, 2, 10, 10], [2, 10, 10, 2], [2, 2, 18, 18]], dtype=np.int64
+        )
+        model = IrregularGridModel(GRID, use_cache=True, use_ledger=True)
+        model.perf = MetricsRegistry()
+        reference = IrregularGridModel(GRID, use_cache=False, use_ledger=False)
+        _, ledger = model.estimate_arrays_ledger(
+            CHIP, _arrays(coords), None, None
+        )
+        net_mass = model.cache_context.net_mass
+        net_mass.clear()
+        misses = net_mass.stats().misses
+        dirty = np.array([1], dtype=np.intp)
+        old = _arrays(coords[dirty])
+        coords[1] = [2, 18, 18, 2]  # every lattice value stays occupied
+        arr = _arrays(coords)
+        score, _ = model.estimate_arrays_ledger(CHIP, arr, ledger, dirty, old)
+        assert model.perf.counters.get("congestion_delta", 0) == 1
+        assert net_mass.stats().misses - misses == 2  # new and old block
+        full = reference.estimate_arrays(CHIP, arr)
+        assert math.isclose(score, full, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_delta_path_fires_on_grid_preserving_move(self):
         # Two edges sharing every lattice value: moving edge 1 onto
@@ -124,10 +156,13 @@ class TestLedgerParity:
         arr = _arrays(coords)
         _, ledger = model.estimate_arrays_ledger(CHIP, arr, None, None)
         assert ledger is not None
+        dirty = np.array([1], dtype=np.intp)
+        old = _arrays(coords[dirty])
         coords[1] = coords[0]
         arr = _arrays(coords)
-        dirty = np.array([1], dtype=np.intp)
-        _, ledger = model.estimate_arrays_ledger(CHIP, arr, ledger, dirty)
+        _, ledger = model.estimate_arrays_ledger(
+            CHIP, arr, ledger, dirty, old
+        )
         assert model.perf.counters.get("congestion_delta", 0) == 1
         assert model.perf.counters.get("ledger_hits", 0) == 1
 
@@ -140,8 +175,11 @@ class TestLedgerParity:
         arr = _arrays(coords)
         _, ledger = model.estimate_arrays_ledger(CHIP, arr, None, None)
         dirty = np.array([1], dtype=np.intp)
+        old = _arrays(coords[dirty])
         for _ in range(4):  # identical geometry: every grid matches
-            _, ledger = model.estimate_arrays_ledger(CHIP, arr, ledger, dirty)
+            _, ledger = model.estimate_arrays_ledger(
+                CHIP, arr, ledger, dirty, old
+            )
         # Ages 0 and 1 take the delta path; age 2 trips the refresh
         # limit, rebuilds (resetting age), then one more delta.
         assert model.perf.counters["congestion_delta"] == 3

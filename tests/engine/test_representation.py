@@ -1,4 +1,4 @@
-"""Tests for the string-keyed representation registry."""
+"""Tests for the fixed representation name table."""
 
 import random
 
@@ -9,7 +9,6 @@ from repro.engine import (
     Representation,
     available_representations,
     make_representation,
-    register_representation,
 )
 from repro.netlist import random_circuit
 
@@ -26,12 +25,6 @@ class TestRegistry:
         netlist = random_circuit(4, 6, seed=0)
         with pytest.raises(ValueError, match="polish"):
             make_representation("nope", netlist)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_representation(
-                "polish", lambda netlist, rot, ctx: None
-            )
 
 
 class TestBuiltRepresentations:
