@@ -4,10 +4,11 @@
 The full service story on one small machine, end to end:
 
 1. start a service (2 pool workers) on a fresh root and submit **8
-   jobs with mixed priorities across 2 tenants** through the HTTP
+   jobs with mixed priorities across 2 tenants**, cycling through
+   every representation (polish, sp, btree), through the HTTP
    client -- one of them armed with a deterministic worker **kill**
    (``os._exit`` at a chosen temperature step, via
-   :class:`repro.testing.faults.JobFault`);
+   :class:`repro.testing.faults.FaultSpec`);
 2. deliver a real **SIGTERM** mid-run; the handler drains the
    service -- running jobs checkpoint and requeue, the journal
    compacts, readiness goes 503 -- and the process would exit cleanly;
@@ -50,16 +51,18 @@ from repro.service import (  # noqa: E402
     ServiceThread,
     result_payload,
 )
-from repro.testing.faults import JobFault  # noqa: E402
+from repro.testing.faults import FaultSpec  # noqa: E402
 
 N_JOBS = 8
+REPRESENTATIONS = ("polish", "sp", "btree")
 KILLED_JOB = "j000003"  # submission order is deterministic
 
 
 def make_specs() -> list[dict]:
-    """8 specs: two tenants, priorities 0/3/7, distinct seeds (distinct
-    content -- no accidental cache hits), two heavier jobs so the
-    SIGTERM lands while something is genuinely running."""
+    """8 specs: two tenants, priorities 0/3/7, representations cycling
+    polish/sp/btree, distinct seeds (distinct content -- no accidental
+    cache hits), two heavier jobs so the SIGTERM lands while something
+    is genuinely running."""
     yal = dumps_yal(random_circuit(6, 8, seed=3))
     # Priorities chosen so the killed job (index 2) lands in the first
     # claimed batch and the two heavier jobs run in later batches --
@@ -72,6 +75,7 @@ def make_specs() -> list[dict]:
         specs.append(
             {
                 "netlist_yal": yal,
+                "representation": REPRESENTATIONS[i % len(REPRESENTATIONS)],
                 "seed": 100 + i,
                 "max_steps": 300 if heavier else 12,
                 "moves_per_temperature": 150 if heavier else 20,
@@ -118,7 +122,7 @@ def run_smoke(root: Path, out: Path | None) -> int:
     term = threading.Event()
     previous = signal.signal(signal.SIGTERM, lambda *_: term.set())
     service = FloorplanService(root, workers=2, heartbeat_timeout=30.0)
-    service.fleet.faults[KILLED_JOB] = JobFault(
+    service.fleet.faults[KILLED_JOB] = FaultSpec(
         kind="crash", attempt=0, mode="pool", at_step=3
     )
     thread = ServiceThread(service).start()

@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--host", default="127.0.0.1")
     sm.add_argument("--port", type=int, default=8712)
     sm.add_argument("--representation", default="polish",
-                    choices=("polish", "sp", "btree"))
+                    choices=tuple(REPRESENTATIONS))
     sm.add_argument("--seed", type=int, default=0)
     sm.add_argument("--alpha", type=float, default=1.0)
     sm.add_argument("--beta", type=float, default=1.0)
@@ -559,7 +559,13 @@ def _objective_spec(args, grid_size, incremental):
 def _run_single_controlled(args, netlist, grid_size, incremental, observer=None):
     """One annealing run under a RunControl: checkpointing, resume,
     deadline, graceful Ctrl-C, and (with ``--trace``) tracing."""
-    from repro.engine import AnnealEngine, RunControl, install_signal_handlers
+    from repro.engine import (
+        RunControl,
+        RunJob,
+        install_signal_handlers,
+        load_checkpoint,
+        run_job,
+    )
     from repro.errors import CheckpointError
     from repro.experiments.runner import judge_floorplan
 
@@ -575,14 +581,19 @@ def _run_single_controlled(args, netlist, grid_size, incremental, observer=None)
     )
     if args.resume is not None:
         try:
-            engine = AnnealEngine.resume(args.resume)
+            checkpoint = load_checkpoint(args.resume)
         except CheckpointError as exc:
             raise SystemExit(f"error: {exc}") from None
-        netlist = engine.netlist
+        job = RunJob(
+            checkpoint.netlist,
+            representation=checkpoint.representation,
+            seed=checkpoint.seed,
+            checkpoint=str(args.resume),
+        )
         print(f"resuming from {args.resume}")
     else:
         profile = active_profile()
-        engine = AnnealEngine(
+        job = RunJob(
             netlist,
             representation=args.representation,
             objective_spec=_objective_spec(args, grid_size, incremental),
@@ -593,18 +604,18 @@ def _run_single_controlled(args, netlist, grid_size, incremental, observer=None)
             schedule=profile.schedule(),
         )
     span = _run_span(
-        observer, circuit=netlist.name, driver="single",
-        representation=engine.representation.name, seed=engine.seed,
+        observer, circuit=job.netlist.name, driver="single",
+        representation=job.representation, seed=job.seed,
     )
     with install_signal_handlers(control), span:
-        result = engine.run(control=control, observer=observer)
+        result = run_job(job, control=control, observer=observer)
     if control.checkpoints_written:
         print(
             f"wrote {control.checkpoints_written} checkpoint(s) to "
             f"{control.checkpoint_path}"
         )
-    judging_cost = judge_floorplan(result.floorplan, netlist, 10.0)
-    return result, judging_cost, netlist
+    judging_cost = judge_floorplan(result.floorplan, job.netlist, 10.0)
+    return result, judging_cost, job.netlist
 
 
 def _run_driver(args, netlist, grid_size, incremental, observer=None):

@@ -50,7 +50,13 @@ from repro.engine.drivers import (
     resume_driver,
 )
 from repro.engine.engine import AnnealEngine, EngineResult, ObjectiveFactory
-from repro.engine.multistart import ObjectiveSpec, RestartFailure, RunReport
+from repro.engine.multistart import (
+    ObjectiveSpec,
+    RestartFailure,
+    RunJob,
+    RunReport,
+    run_job,
+)
 from repro.engine.portfolio import PortfolioDriver
 from repro.engine.representation import (
     Representation,
@@ -67,7 +73,9 @@ __all__ = [
     "ObjectiveFactory",
     "ObjectiveSpec",
     "RestartFailure",
+    "RunJob",
     "RunReport",
+    "run_job",
     "SupervisedRunner",
     "DriverConfig",
     "SearchDriver",

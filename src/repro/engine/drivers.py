@@ -17,7 +17,9 @@ The drivers:
     representations through their ``from_floorplan`` conversion hooks.
     See :mod:`repro.engine.portfolio`.
 
-Every driver runs its jobs through the same
+Every driver runs its jobs -- one
+:class:`~repro.engine.multistart.RunJob` each, executed by
+:func:`~repro.engine.multistart.run_job` -- through the same
 :class:`~repro.engine.supervise.SupervisedRunner` (watchdog, retries,
 pool rebuild, degrade-to-sequential), keeps a per-job
 :class:`~repro.engine.multistart.RunReport` ledger, and produces
@@ -40,7 +42,7 @@ from repro.engine.checkpoint import (
     save_driver_checkpoint,
 )
 from repro.engine.engine import EngineResult
-from repro.engine.multistart import ObjectiveSpec, RunReport, _run_restart
+from repro.engine.multistart import ObjectiveSpec, RunJob, RunReport, run_job
 from repro.engine.supervise import SupervisedRunner
 from repro.errors import WorkerFailure
 from repro.netlist import Netlist
@@ -144,6 +146,26 @@ class DriverConfig:
 
         return ObsPlan(
             progress_every=self.progress_every, top_k=self.progress_top_k
+        )
+
+    def job(
+        self, representation: str, seed: int, key: int, **kwargs
+    ) -> RunJob:
+        """The :class:`~repro.engine.multistart.RunJob` for one of this
+        search's runs; ``kwargs`` set the remaining job fields (the
+        portfolio's ``initial_state`` / ``t0_scale``)."""
+        return RunJob(
+            self.netlist,
+            representation=representation,
+            objective_spec=self.spec(),
+            seed=seed,
+            moves_per_temperature=self.moves_per_temperature,
+            schedule=self.schedule,
+            calibrate=self.calibrate,
+            key=key,
+            obs_plan=self.obs_plan(),
+            fault=self.inject_fault,
+            **kwargs,
         )
 
 
@@ -262,8 +284,8 @@ class MultiStartDriver(SearchDriver):
     """Independent best-of-N restarts over seeds ``seed .. seed +
     restarts - 1`` -- the default driver.
 
-    Every restart is one :func:`~repro.engine.multistart._run_restart`
-    job under :class:`~repro.engine.supervise.SupervisedRunner`: a
+    Every restart is one :func:`~repro.engine.multistart.run_job`
+    call under :class:`~repro.engine.supervise.SupervisedRunner`: a
     crashed or hung pool worker is retried (``max_retries``, with
     exponential backoff), the pool is rebuilt at most
     ``max_pool_rebuilds`` times, and then the remaining seeds run
@@ -297,26 +319,13 @@ class MultiStartDriver(SearchDriver):
                 "use engine checkpoints for single runs"
             )
         cfg = self.config
-        spec = cfg.spec()
-        obs_plan = cfg.obs_plan()
         seeds = [cfg.seed + i for i in range(cfg.restarts)]
+        jobs = {s: cfg.job(cfg.representation, s, key=s) for s in seeds}
         reports = {s: RunReport(seed=s) for s in seeds}
         results: Dict[int, EngineResult] = {}
         runner = SupervisedRunner(
-            _run_restart,
-            lambda seed, attempt, mode: (
-                cfg.netlist,
-                cfg.representation,
-                spec,
-                seed,
-                cfg.moves_per_temperature,
-                cfg.schedule,
-                cfg.calibrate,
-                obs_plan,
-                attempt,
-                mode,
-                cfg.inject_fault,
-            ),
+            run_job,
+            lambda k, a, m: (jobs[k], a, m),
             timeout=cfg.restart_timeout,
             max_retries=cfg.max_retries,
             retry_backoff=cfg.retry_backoff,

@@ -1,17 +1,17 @@
-"""Building blocks of multi-start annealing: the restart job and its ledger.
+"""The run job and its ledger: one annealing run, however it is launched.
 
-Annealing is stochastic; the standard variance-reduction move is
-best-of-N over distinct seeds, run by the ``multistart`` search driver
-(:class:`~repro.engine.drivers.MultiStartDriver`).  This module holds
-what the drivers build on: the picklable :class:`ObjectiveSpec` every
-job's objective is built from, the self-contained restart job
-:func:`_run_restart`, and the per-job :class:`RunReport` /
+Annealing is stochastic; the paper's results are tables of repeated
+runs, one per circuit and seed.  This module holds what every launcher
+builds on: the picklable :class:`ObjectiveSpec` every run's objective
+is built from, the frozen :class:`RunJob` and its one runner
+:func:`run_job` -- called by both search drivers, the service worker
+and the CLI's single runs -- and the per-job :class:`RunReport` /
 :class:`RestartFailure` supervision ledger.
 
-Determinism: every restart builds a *fresh* objective and a *fresh*
+Determinism: every job builds a *fresh* objective and a *fresh*
 :class:`~repro.perf.context.CacheContext` from a picklable
 :class:`ObjectiveSpec`, and caches are value-transparent (memo hits
-return exactly what recomputation would), so restart ``i`` computes
+return exactly what recomputation would), so job ``i`` computes
 bit-identical results whether it runs in-process, on a pool, or alone.
 Parallel best-of-N therefore equals sequential best-of-N for the same
 seeds, and the winner is the lowest cost with ties broken by lowest
@@ -20,6 +20,7 @@ seed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -33,7 +34,9 @@ from repro.perf.context import CacheContext
 __all__ = [
     "ObjectiveSpec",
     "RestartFailure",
+    "RunJob",
     "RunReport",
+    "run_job",
 ]
 
 
@@ -84,52 +87,77 @@ class ObjectiveSpec:
         )
 
 
-def _run_restart(
-    netlist: Netlist,
-    representation: str,
-    spec: ObjectiveSpec,
-    seed: int,
-    moves_per_temperature: Optional[int],
-    schedule: Optional[GeometricSchedule],
-    calibrate: bool,
-    obs_plan=None,
+@dataclass(frozen=True)
+class RunJob:
+    """One annealing run, frozen as a picklable value.
+
+    Everything :func:`run_job` needs to build (or resume) one
+    :class:`~repro.engine.engine.AnnealEngine`: the circuit and search
+    recipe (``initial_state`` / ``t0_scale`` continue an elite
+    solution, as the portfolio does), plus the run's plumbing -- the
+    supervision ``key`` a ``fault`` (a
+    :class:`~repro.testing.faults.FaultSpec`, test-only) targets, an
+    optional :class:`repro.obs.ObsPlan`, and ``checkpoint``, an engine
+    checkpoint to resume when that file exists.
+    """
+
+    netlist: Netlist
+    representation: str = "polish"
+    objective_spec: ObjectiveSpec = ObjectiveSpec()
+    seed: int = 0
+    moves_per_temperature: Optional[int] = None
+    schedule: Optional[GeometricSchedule] = None
+    calibrate: bool = True
+    initial_state: Any = None
+    t0_scale: float = 1.0
+    key: int = 0
+    obs_plan: Any = None
+    fault: Any = None
+    checkpoint: Optional[str] = None
+
+
+def run_job(
+    job: RunJob,
     attempt: int = 0,
     mode: str = "sequential",
-    fault=None,
     control=None,
+    observer=None,
 ) -> EngineResult:
-    """One restart, self-contained: fresh context, fresh objective.
+    """Run (or resume) one :class:`RunJob` and return its result.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it; also
     the sequential path, so both execution modes run literally the same
-    code.  ``fault`` is the test-only injection hook
-    (:class:`~repro.testing.faults.FaultSpec`); it fires only when its
-    (seed, attempt, mode) target matches, so a supervised retry of an
-    injected failure deterministically succeeds.  ``control`` rides
-    along only in sequential mode (it holds a lock and cannot cross a
-    process boundary) and never touches the RNG stream.
-
-    ``obs_plan`` (a picklable :class:`repro.obs.ObsPlan`) makes the
-    restart collect progress snapshots and a metrics registry that come
-    home on the result; the in-worker observer carries no tracer and
-    never touches the RNG stream, so the walk is bit-identical either
-    way.
+    code.  The engine is built fresh from the job's objective spec, so
+    a job's result does not depend on where it runs.  ``(attempt,
+    mode)`` arrive from the supervisor and only address the job's
+    fault.  A ``control`` holds a lock and cannot cross a process
+    boundary, so the supervisor passes one only in sequential mode; it
+    never touches the RNG stream.  Without an ``observer``, the job's ``obs_plan`` builds
+    an in-worker one whose progress snapshots and metrics come home on
+    the result; observation never touches the RNG stream either.
     """
-    if fault is not None:
-        fault.maybe_fire(seed=seed, attempt=attempt, mode=mode)
-    context = CacheContext()
-    engine = AnnealEngine(
-        netlist,
-        representation=representation,
-        objective=spec.build(netlist, context),
-        objective_spec=spec,
-        seed=seed,
-        moves_per_temperature=moves_per_temperature,
-        schedule=schedule,
-        calibrate=calibrate,
+    on_snapshot = None
+    if job.fault is not None:
+        on_snapshot = job.fault.arm(seed=job.key, attempt=attempt, mode=mode)
+    if job.checkpoint is not None and os.path.exists(job.checkpoint):
+        engine = AnnealEngine.resume(job.checkpoint)
+    else:
+        engine = AnnealEngine(
+            job.netlist,
+            representation=job.representation,
+            objective_spec=job.objective_spec,
+            seed=job.seed,
+            moves_per_temperature=job.moves_per_temperature,
+            schedule=job.schedule,
+            calibrate=job.calibrate,
+            initial_state=job.initial_state,
+            t0_scale=job.t0_scale,
+        )
+    if observer is None and job.obs_plan is not None:
+        observer = job.obs_plan.build_observer()
+    return engine.run(
+        on_snapshot=on_snapshot, control=control, observer=observer
     )
-    observer = obs_plan.build_observer() if obs_plan is not None else None
-    return engine.run(control=control, observer=observer)
 
 
 @dataclass
@@ -165,7 +193,8 @@ class RestartFailure:
 
 @dataclass
 class RunReport:
-    """Supervision ledger of one seeded restart (or driver job).
+    """Supervision ledger of one supervised :func:`run_job` call
+    (a restart, a portfolio leg or a service job).
 
     ``status`` ends as ``"ok"`` (result delivered -- possibly stopped
     early by a cooperative stop, see the result's own ``completed``),

@@ -20,9 +20,10 @@ rounds:
   (:mod:`repro.floorplan.convert`), and any further slots start fresh
   from new seeds.
 
-Every leg is a full supervised annealing run
-(:func:`~repro.engine.portfolio._run_leg` builds a fresh
-:class:`~repro.engine.engine.AnnealEngine` per leg), executed through
+Every leg is a full supervised annealing run -- one
+:class:`~repro.engine.multistart.RunJob` carrying the leg's
+``initial_state`` and ``t0_scale``, executed by
+:func:`~repro.engine.multistart.run_job` through
 :class:`~repro.engine.supervise.SupervisedRunner` -- watchdog,
 retries, pool rebuild, degrade-to-sequential all behave exactly as in
 multistart.  Allocation and migration decisions are pure functions of
@@ -45,13 +46,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.drivers import DriverConfig, SearchDriver, SearchResult
-from repro.engine.engine import AnnealEngine, EngineResult
-from repro.engine.multistart import ObjectiveSpec, RunReport
+from repro.engine.engine import EngineResult
+from repro.engine.multistart import RunReport, run_job
 from repro.engine.representation import make_representation
 from repro.engine.supervise import SupervisedRunner
 from repro.errors import WorkerFailure
-from repro.netlist import Netlist
-from repro.perf.context import CacheContext
 
 __all__ = ["LegPlan", "PortfolioDriver"]
 
@@ -76,53 +75,6 @@ class LegPlan:
     seed: int
     initial_state: Any = None
     t0_scale: float = 1.0
-
-
-def _run_leg(
-    netlist: Netlist,
-    representation: str,
-    spec: ObjectiveSpec,
-    seed: int,
-    moves_per_temperature: Optional[int],
-    schedule,
-    calibrate: bool,
-    initial_state: Any,
-    t0_scale: float,
-    key: int,
-    obs_plan=None,
-    attempt: int = 0,
-    mode: str = "sequential",
-    fault=None,
-    control=None,
-) -> EngineResult:
-    """One portfolio leg: a full annealing run, self-contained.
-
-    The portfolio's analogue of
-    :func:`~repro.engine.multistart._run_restart`, extended with the
-    elite-continuation knobs (``initial_state`` / ``t0_scale``).
-    Module-level and pure, so pool and sequential execution agree;
-    ``fault`` targets the supervision ``key``.  ``obs_plan`` (a
-    picklable :class:`repro.obs.ObsPlan`) makes the leg collect
-    progress snapshots and metrics that ride home on its result; the
-    in-worker observer never touches the RNG stream.
-    """
-    if fault is not None:
-        fault.maybe_fire(seed=key, attempt=attempt, mode=mode)
-    context = CacheContext()
-    engine = AnnealEngine(
-        netlist,
-        representation=representation,
-        objective=spec.build(netlist, context),
-        objective_spec=spec,
-        seed=seed,
-        moves_per_temperature=moves_per_temperature,
-        schedule=schedule,
-        calibrate=calibrate,
-        initial_state=initial_state,
-        t0_scale=t0_scale,
-    )
-    observer = obs_plan.build_observer() if obs_plan is not None else None
-    return engine.run(control=control, observer=observer)
 
 
 def _allocate_slots(
@@ -179,8 +131,6 @@ class PortfolioDriver(SearchDriver):
         and metrics into the coordinator's registry.
         """
         cfg = self.config
-        spec = cfg.spec()
-        obs_plan = cfg.obs_plan()
         arms = tuple(cfg.representations)
         if control is not None:
             control.begin()
@@ -264,7 +214,7 @@ class PortfolioDriver(SearchDriver):
                         rep = make_representation(
                             arm,
                             cfg.netlist,
-                            allow_rotation=spec.allow_rotation,
+                            allow_rotation=cfg.spec().allow_rotation,
                         )
                         if rep.from_floorplan is None:
                             plans.append(
@@ -339,24 +289,19 @@ class PortfolioDriver(SearchDriver):
                     for p in plans
                 }
                 results: Dict[int, EngineResult] = {}
+                jobs = {
+                    p.key: cfg.job(
+                        p.arm,
+                        p.seed,
+                        key=p.key,
+                        initial_state=p.initial_state,
+                        t0_scale=p.t0_scale,
+                    )
+                    for p in plans
+                }
                 runner = SupervisedRunner(
-                    _run_leg,
-                    lambda key, attempt, mode: (
-                        cfg.netlist,
-                        by_key[key].arm,
-                        spec,
-                        by_key[key].seed,
-                        cfg.moves_per_temperature,
-                        cfg.schedule,
-                        cfg.calibrate,
-                        by_key[key].initial_state,
-                        by_key[key].t0_scale,
-                        key,
-                        obs_plan,
-                        attempt,
-                        mode,
-                        cfg.inject_fault,
-                    ),
+                    run_job,
+                    lambda k, a, m: (jobs[k], a, m),
                     timeout=cfg.restart_timeout,
                     max_retries=cfg.max_retries,
                     retry_backoff=cfg.retry_backoff,

@@ -7,10 +7,11 @@ search driver needs exactly that machinery -- multistart supervises
 restarts, the portfolio driver supervises per-round representation
 legs -- so this module hosts it once, generalized over *jobs*.
 
-A job is addressed by an integer ``key`` (a seed or a leg seed); the
+A job is addressed by an integer ``key`` (a seed or a leg key); the
 runner calls a **module-level picklable function** ``fn``
 with ``make_args(key, attempt, mode)`` positional arguments (e.g.
-:func:`~repro.engine.multistart._run_restart` for multistart).
+:func:`~repro.engine.multistart.run_job` with ``(job, attempt, mode)``
+for both search drivers).
 Results land in a ``key -> result`` dict and every
 attempt, failure, and recovery is recorded in the per-key
 :class:`~repro.engine.multistart.RunReport` ledger -- the same

@@ -55,11 +55,12 @@ class CheckpointError(ReproError, RuntimeError):
 
 
 class WorkerFailure(ReproError, RuntimeError):
-    """A supervised restart (or the whole multi-start run) failed.
+    """Every supervised run job of a search failed.
 
     Raised by the search drivers (e.g.
     :class:`~repro.engine.drivers.MultiStartDriver`) only when *no*
-    job produced a result; individual job failures
+    :func:`~repro.engine.multistart.run_job` call produced a result;
+    individual job failures
     are recorded in the run's
     :class:`~repro.engine.multistart.RunReport` list instead.
     """

@@ -54,7 +54,7 @@ class ServiceFleet:
 
     Parameters mirror :class:`~repro.engine.supervise.SupervisedRunner`
     where they share names.  ``faults`` maps ``job_id`` to a
-    :class:`repro.testing.faults.JobFault` (test-only; lets the fault
+    :class:`repro.testing.faults.FaultSpec` (test-only; lets the fault
     suite kill exactly one chosen job's worker).  ``metrics`` is a
     :class:`repro.obs.MetricsRegistry`; pass the service's so fleet
     counters land on ``/metrics``.

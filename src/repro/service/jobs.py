@@ -40,6 +40,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional
 
+from repro.engine.representation import REPRESENTATIONS
 from repro.errors import JobValidationError
 
 __all__ = [
@@ -117,7 +118,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.netlist_yal.strip():
             raise JobValidationError("netlist_yal must be non-empty YAL text")
-        if self.representation not in ("polish", "sp", "btree"):
+        if self.representation not in REPRESENTATIONS:
             # Validated here (not only in the worker) so a typo fails
             # the submit with HTTP 400 instead of burning a worker run.
             raise JobValidationError(

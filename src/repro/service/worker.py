@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.engine.control import RunControl
-from repro.engine.engine import AnnealEngine, EngineResult
+from repro.engine.engine import EngineResult
+from repro.engine.multistart import RunJob, run_job
 from repro.service.jobs import JobSpec
 
 __all__ = [
@@ -143,7 +144,7 @@ class JobPayload:
     stable across attempts, which is exactly what makes attempt N+1
     resume attempt N's checkpoint.  ``stop_path`` is the fleet-wide
     drain file (absent outside a drain).  ``fault`` is the test-only
-    injection hook (a :class:`repro.testing.faults.JobFault`); it
+    injection hook (a :class:`repro.testing.faults.FaultSpec`); it
     targets one (attempt, mode) pair, so the supervised retry of an
     injected kill deterministically succeeds.
     """
@@ -230,25 +231,17 @@ def run_service_job(
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
     can pickle it; ``(attempt, mode)`` arrive from the supervisor's
-    ``make_args`` exactly as multistart's restart function receives
-    them, and ``control`` rides along only in sequential mode.
+    ``make_args`` and ``control`` rides along only in sequential mode.
+    The run itself is one :func:`~repro.engine.multistart.run_job`,
+    which resumes the job's checkpoint when one exists; this wrapper
+    adds the heartbeat/drain control, the result payload and the
+    checkpoint cleanup.
     """
     spec = payload.spec
     job_dir = Path(payload.job_dir)
     job_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = payload.checkpoint_path
     resumed = checkpoint_path.exists()
-    if resumed:
-        engine = AnnealEngine.resume(checkpoint_path)
-    else:
-        engine = AnnealEngine(
-            spec.build_netlist(),
-            representation=spec.representation,
-            objective_spec=spec.objective_spec(),
-            seed=spec.seed,
-            moves_per_temperature=spec.moves_per_temperature,
-            schedule=spec.schedule(),
-        )
     run_control = ServiceRunControl(
         deadline_seconds=spec.deadline_seconds,
         checkpoint_path=checkpoint_path,
@@ -257,10 +250,17 @@ def run_service_job(
         stop_path=payload.stop_path,
         parent=control,
     )
-    on_snapshot = None
-    if payload.fault is not None:
-        on_snapshot = payload.fault.snapshot_hook(attempt=attempt, mode=mode)
-    engine_result = engine.run(on_snapshot=on_snapshot, control=run_control)
+    job = RunJob(
+        spec.build_netlist(),
+        representation=spec.representation,
+        objective_spec=spec.objective_spec(),
+        seed=spec.seed,
+        moves_per_temperature=spec.moves_per_temperature,
+        schedule=spec.schedule(),
+        fault=payload.fault,
+        checkpoint=str(checkpoint_path),
+    )
+    engine_result = run_job(job, attempt, mode, control=run_control)
     outcome = JobOutcome(
         job_id=payload.job_id,
         completed=engine_result.completed,

@@ -11,10 +11,12 @@ evaluation.
 Three injection points cover the failure classes the engine defends
 against:
 
-* :class:`FaultSpec` -- process-level faults inside a multistart
-  restart (``os._exit`` crash, hang, raised exception), shipped
-  picklable into pool workers via the search drivers'
-  :attr:`~repro.engine.drivers.DriverConfig.inject_fault` hook;
+* :class:`FaultSpec` -- process-level faults inside one
+  :func:`~repro.engine.multistart.run_job` (``os._exit`` crash, hang,
+  raised exception; at job entry or at a chosen temperature step),
+  shipped picklable into pool workers via the search drivers'
+  :attr:`~repro.engine.drivers.DriverConfig.inject_fault` hook and the
+  service fleet's ``faults`` map;
 * :class:`FaultyObjective` -- an objective wrapper that raises
   :class:`InjectedFault` at evaluation N, simulating a mid-anneal
   crash between two checkpoints;
@@ -36,7 +38,6 @@ __all__ = [
     "FaultSpec",
     "FaultyObjective",
     "poison_approx_mass",
-    "JobFault",
     "journal_write_crash",
     "slow_client_request",
 ]
@@ -51,48 +52,79 @@ _KINDS = ("crash", "hang", "raise")
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """A picklable, targeted process-level fault.
+    """A picklable, targeted process-level fault inside one run job.
 
-    Fires inside :func:`~repro.engine.multistart._run_restart` only
-    when the restart's ``(seed, attempt, mode)`` matches; ``mode`` of
-    ``None`` matches both pool and sequential execution.  ``"crash"``
-    hard-kills the process with ``os._exit`` (no cleanup, like a
-    segfault -- never target it at sequential mode, that is the test
-    process); ``"hang"`` sleeps ``hang_seconds`` to trip the
+    :func:`~repro.engine.multistart.run_job` consults it with the job's
+    supervision key, attempt and execution mode, and it fires only
+    when all three match: ``seed`` names the key (a restart's seed, a
+    portfolio leg's key; ``None`` matches every key -- the service
+    targets a job by id instead), ``mode`` of ``None`` matches both
+    pool and sequential execution.  A supervised retry of an injected
+    failure is therefore untargeted and deterministically succeeds.
+
+    ``at_step`` picks the moment: ``None`` fires at job entry, ``n``
+    at the n-th temperature snapshot of the walk -- which lets the
+    fault suite kill a worker strictly **after** its first checkpoint
+    landed and then prove the retry resumes bit-identically.
+
+    ``"crash"`` hard-kills the process with ``os._exit`` (no cleanup,
+    like a segfault -- never target it at sequential mode, that is the
+    test process); ``"hang"`` sleeps ``hang_seconds`` to trip the
     supervisor's watchdog; ``"raise"`` raises :class:`InjectedFault`.
     """
 
     kind: str
-    seed: int
+    seed: Optional[int] = None
     attempt: int = 0
     mode: Optional[str] = None
+    at_step: Optional[int] = None
     hang_seconds: float = 3600.0
     exit_code: int = 13
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.at_step is not None and self.at_step < 1:
+            raise ValueError(f"at_step must be >= 1, got {self.at_step}")
 
     def matches(self, seed: int, attempt: int, mode: str) -> bool:
-        """Whether this fault targets the given restart attempt."""
+        """Whether this fault targets the given job attempt."""
         return (
-            seed == self.seed
+            (self.seed is None or seed == self.seed)
             and attempt == self.attempt
             and (self.mode is None or mode == self.mode)
         )
 
-    def maybe_fire(self, seed: int, attempt: int, mode: str) -> None:
-        """Fire if targeted at this restart; otherwise do nothing."""
+    def arm(self, seed: int, attempt: int, mode: str):
+        """Arm this fault for one job attempt.
+
+        Returns ``None`` when the attempt is not targeted (the common
+        case).  A targeted entry fault (``at_step=None``) fires right
+        here; a targeted step fault returns the ``on_snapshot`` hook
+        that fires at snapshot ``at_step``.
+        """
         if not self.matches(seed, attempt, mode):
-            return
+            return None
+        where = f"seed={seed} attempt={attempt} mode={mode}"
+        if self.at_step is None:
+            self._fire(where)
+            return None
+        seen = {"steps": 0}
+
+        def hook(snapshot) -> None:
+            seen["steps"] += 1
+            if seen["steps"] == self.at_step:
+                self._fire(f"{where} temperature step {self.at_step}")
+
+        return hook
+
+    def _fire(self, where: str) -> None:
         if self.kind == "crash":
             os._exit(self.exit_code)
         if self.kind == "hang":
             time.sleep(self.hang_seconds)
             return
-        raise InjectedFault(
-            f"injected fault: seed={seed} attempt={attempt} mode={mode}"
-        )
+        raise InjectedFault(f"injected fault: {where}")
 
 
 class FaultyObjective:
@@ -139,64 +171,6 @@ class FaultyObjective:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-
-@dataclass(frozen=True)
-class JobFault:
-    """A picklable, targeted fault inside one service worker run.
-
-    The service-level sibling of :class:`FaultSpec`: instead of firing
-    at job entry, it fires at a chosen *temperature transition* of the
-    annealing walk (``at_step`` counts the per-step snapshots the
-    engine emits), which is what lets the fault suite kill a worker
-    strictly **after** its first checkpoint landed and then prove the
-    supervised retry resumes bit-identically.  Targeting is by
-    (attempt, mode) exactly like :class:`FaultSpec`: the retry of an
-    injected kill is untargeted and deterministically succeeds.
-
-    ``"crash"`` hard-kills the worker process with ``os._exit`` (never
-    target it at sequential mode -- that is the test process);
-    ``"hang"`` sleeps past the supervisor's heartbeat window;
-    ``"raise"`` raises :class:`InjectedFault` through the engine.
-    """
-
-    kind: str
-    attempt: int = 0
-    mode: Optional[str] = None
-    at_step: int = 2
-    hang_seconds: float = 3600.0
-    exit_code: int = 21
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.at_step < 1:
-            raise ValueError(f"at_step must be >= 1, got {self.at_step}")
-
-    def snapshot_hook(self, attempt: int, mode: str):
-        """An ``on_snapshot`` callback armed for this attempt/mode, or
-        ``None`` when the attempt is not targeted (the common case)."""
-        if attempt != self.attempt:
-            return None
-        if self.mode is not None and mode != self.mode:
-            return None
-        seen = {"steps": 0}
-
-        def hook(snapshot) -> None:
-            seen["steps"] += 1
-            if seen["steps"] != self.at_step:
-                return
-            if self.kind == "crash":
-                os._exit(self.exit_code)
-            if self.kind == "hang":
-                time.sleep(self.hang_seconds)
-                return
-            raise InjectedFault(
-                f"injected job fault at temperature step {self.at_step} "
-                f"(attempt={attempt} mode={mode})"
-            )
-
-        return hook
 
 
 @contextmanager

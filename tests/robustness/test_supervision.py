@@ -128,14 +128,14 @@ class TestSequentialSupervision:
         self, netlist, baseline, monkeypatch
     ):
         control = RunControl()
-        real = drivers_mod._run_restart
+        real = drivers_mod.run_job
 
         def stop_after_first(*args, **kwargs):
             result = real(*args, **kwargs)
             control.request_stop("supervisor")
             return result
 
-        monkeypatch.setattr(drivers_mod, "_run_restart", stop_after_first)
+        monkeypatch.setattr(drivers_mod, "run_job", stop_after_first)
         outcome = _multi(netlist, restarts=3).run(control=control)
 
         assert len(outcome.results) == 1

@@ -21,7 +21,7 @@ from repro.service import (
     ServiceFleet,
     result_payload,
 )
-from repro.testing.faults import JobFault
+from repro.testing.faults import FaultSpec
 
 
 def direct_result(spec: JobSpec) -> dict:
@@ -83,7 +83,7 @@ def test_killed_worker_resumes_bit_identical(tmp_path, fast_spec):
     queue, store, fleet = make_fleet(
         tmp_path,
         faults={
-            "j000001": JobFault(
+            "j000001": FaultSpec(
                 kind="crash", attempt=0, mode="pool", at_step=4
             )
         },
@@ -239,7 +239,7 @@ def test_degraded_fleet_latches_sequential_and_still_finishes(
         max_pool_rebuilds=0,
         metrics=metrics,
         faults={
-            "j000001": JobFault(
+            "j000001": FaultSpec(
                 kind="crash", attempt=0, mode="pool", at_step=3
             )
         },
