@@ -24,9 +24,15 @@ The pass/fail gates are structural, never wall-clock:
 * a fresh :class:`~repro.service.queue.JobQueue` replaying the
   benchmark's journal reconstructs every job.
 
+A leg with more workers than this process may use CPUs is labelled
+``"oversubscribed": true``: its throughput measures time-slicing, not
+the fleet.
+
 Results go to ``BENCH_service.json`` (see ``--out``)::
 
-    {"legs": [{"workers": 1, "jobs_per_minute": ..., "p50_seconds": ...,
+    {"nproc": 2,
+     "legs": [{"workers": 1, "oversubscribed": false,
+               "jobs_per_minute": ..., "p50_seconds": ...,
                "p95_seconds": ..., "cache_hit_seconds": ...}, ...],
      "journal": {"append_us": ..., "replay_seconds": ..., "n_records": ...},
      "results_agree": true}
@@ -35,6 +41,7 @@ Results go to ``BENCH_service.json`` (see ``--out``)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 import time
@@ -88,6 +95,11 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
+def nproc() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def bench_leg(workers: int, specs: list[dict], expected: list[dict]):
     root = Path(tempfile.mkdtemp(prefix=f"bench-service-{workers}w-"))
     service = FloorplanService(root, workers=workers)
@@ -120,6 +132,7 @@ def bench_leg(workers: int, specs: list[dict], expected: list[dict]):
     latencies.sort()
     return {
         "workers": workers,
+        "oversubscribed": workers > nproc(),
         "n_jobs": len(specs),
         "jobs_per_minute": round(len(specs) / elapsed * 60.0, 2),
         "p50_seconds": round(percentile(latencies, 0.50), 4),
@@ -178,7 +191,8 @@ def main(argv=None) -> int:
         if not agree:
             failures.append(f"{workers}-worker leg diverged from direct runs")
         print(
-            f"  {leg['jobs_per_minute']} jobs/min, "
+            f"  {leg['jobs_per_minute']} jobs/min"
+            f"{' (oversubscribed)' if leg['oversubscribed'] else ''}, "
             f"p50 {leg['p50_seconds']}s, p95 {leg['p95_seconds']}s, "
             f"cache hit {leg['cache_hit_seconds']}s"
         )
@@ -193,6 +207,7 @@ def main(argv=None) -> int:
     )
 
     report = {
+        "nproc": nproc(),
         "legs": legs,
         "journal": journal,
         "results_agree": not failures,

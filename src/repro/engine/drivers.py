@@ -323,7 +323,8 @@ class MultiStartDriver(SearchDriver):
         jobs = {s: cfg.job(cfg.representation, s, key=s) for s in seeds}
         reports = {s: RunReport(seed=s) for s in seeds}
         results: Dict[int, EngineResult] = {}
-        runner = SupervisedRunner(
+        workers = min(cfg.workers, cfg.restarts)
+        with SupervisedRunner(
             run_job,
             lambda k, a, m: (jobs[k], a, m),
             timeout=cfg.restart_timeout,
@@ -331,11 +332,10 @@ class MultiStartDriver(SearchDriver):
             retry_backoff=cfg.retry_backoff,
             max_pool_rebuilds=cfg.max_pool_rebuilds,
             observer=observer,
-        )
-        workers = min(cfg.workers, cfg.restarts)
-        rebuilds, degraded = runner.run(
-            seeds, workers, reports, results, control
-        )
+        ) as runner:
+            rebuilds, degraded = runner.run(
+                seeds, workers, reports, results, control
+            )
         stopped = control is not None and control.stop_requested
         for s in seeds:
             if s not in results and reports[s].status == "pending":

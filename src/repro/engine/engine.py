@@ -371,11 +371,17 @@ class AnnealEngine:
 
     def _make_checkpoint_writer(self, control: RunControl):
         """The closure the annealing loop calls with a bare loop state;
-        wraps it in the engine's full checkpoint envelope."""
+        wraps it in the engine's full checkpoint envelope.
+
+        It captures the path, not ``control``: the control stores the
+        closure, so capturing the control would make a reference cycle
+        that keeps this whole engine alive until a full collection.
+        """
+        path = control.checkpoint_path
 
         def write(loop_state) -> None:
             save_checkpoint(
-                control.checkpoint_path,
+                path,
                 Checkpoint(
                     representation=self.representation.name,
                     seed=self.seed,

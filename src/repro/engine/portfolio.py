@@ -242,164 +242,171 @@ class PortfolioDriver(SearchDriver):
                     leg += 1
             return plans
 
-        for round_i in range(start_round, cfg.rounds):
-            if control is not None:
-                stop_reason = control.should_stop()
-                if stop_reason is not None:
-                    checkpoints_written += self._write_checkpoint(
-                        snapshot(round_i), control, observer
-                    )
-                    break
-            round_span = (
-                observer.span("round", index=round_i, driver=self.name)
-                if observer is not None
-                else nullcontext()
-            )
-            with round_span:
-                plans = plan_round(round_i)
-                if observer is not None:
-                    # The planning decisions, on disk before any leg
-                    # runs: a crashed round still shows what was dealt.
-                    for p in plans:
-                        observer.event(
-                            "leg_planned",
-                            round=round_i,
-                            key=p.key,
-                            arm=p.arm,
-                            kind=p.kind,
-                            seed=p.seed,
-                            t0_scale=p.t0_scale,
+        # One runner, so one pool, for the whole run; each round's legs
+        # are looked up in ``jobs`` by key.
+        jobs: Dict[int, Any] = {}
+        with SupervisedRunner(
+            run_job,
+            lambda k, a, m: (jobs[k], a, m),
+            timeout=cfg.restart_timeout,
+            max_retries=cfg.max_retries,
+            retry_backoff=cfg.retry_backoff,
+            max_pool_rebuilds=cfg.max_pool_rebuilds,
+            observer=observer,
+        ) as runner:
+            for round_i in range(start_round, cfg.rounds):
+                if control is not None:
+                    stop_reason = control.should_stop()
+                    if stop_reason is not None:
+                        checkpoints_written += self._write_checkpoint(
+                            snapshot(round_i), control, observer
                         )
-                        observer.metrics.count(f"slots[{p.arm}]")
-                        if p.kind == "migrate":
+                        break
+                round_span = (
+                    observer.span("round", index=round_i, driver=self.name)
+                    if observer is not None
+                    else nullcontext()
+                )
+                with round_span:
+                    plans = plan_round(round_i)
+                    if observer is not None:
+                        # The planning decisions, on disk before any leg
+                        # runs: a crashed round still shows what was dealt.
+                        for p in plans:
                             observer.event(
-                                "migration",
+                                "leg_planned",
                                 round=round_i,
+                                key=p.key,
                                 arm=p.arm,
+                                kind=p.kind,
                                 seed=p.seed,
+                                t0_scale=p.t0_scale,
                             )
-                            observer.metrics.count("champion_migrations")
-                by_key = {p.key: p for p in plans}
-                keys = [p.key for p in plans]
-                reports = {
-                    p.key: RunReport(
-                        seed=p.seed,
-                        label=f"round {round_i} / {p.arm} / {p.kind}",
-                    )
-                    for p in plans
-                }
-                results: Dict[int, EngineResult] = {}
-                jobs = {
-                    p.key: cfg.job(
-                        p.arm,
-                        p.seed,
-                        key=p.key,
-                        initial_state=p.initial_state,
-                        t0_scale=p.t0_scale,
-                    )
-                    for p in plans
-                }
-                runner = SupervisedRunner(
-                    run_job,
-                    lambda k, a, m: (jobs[k], a, m),
-                    timeout=cfg.restart_timeout,
-                    max_retries=cfg.max_retries,
-                    retry_backoff=cfg.retry_backoff,
-                    max_pool_rebuilds=cfg.max_pool_rebuilds,
-                    observer=observer,
-                )
-                workers = 1 if degraded else min(cfg.workers, len(keys))
-                rebuilds, deg = runner.run(
-                    keys, workers, reports, results, control
-                )
-                rebuilds_total += rebuilds
-                degraded = degraded or deg
-                stopped = control is not None and control.stop_requested
-                if stopped and len(results) + sum(
-                    1 for k in keys if reports[k].status == "failed"
-                ) < len(keys):
-                    # Partial round: discard it so resume replays the
-                    # whole round and allocation decisions stay
-                    # bit-identical.
-                    for k in keys:
-                        if (
-                            k not in results
-                            and reports[k].status == "pending"
-                        ):
-                            reports[k].status = "skipped"
-                    all_reports.extend(reports[k] for k in keys)
-                    stop_reason = control.should_stop() or "stop"
-                    checkpoints_written += self._write_checkpoint(
-                        snapshot(round_i), control, observer
-                    )
-                    break
-                # Commit the round.
-                for k in keys:
-                    if k not in results and reports[k].status == "pending":
-                        reports[k].status = "failed"
-                for k in keys:
-                    if k in results:
-                        reports[k].attach_result(results[k])
-                        if observer is not None:
-                            observer.merge_result(
-                                results[k],
-                                key=k,
-                                arm=by_key[k].arm,
-                                kind=by_key[k].kind,
-                            )
-                all_reports.extend(reports[k] for k in keys)
-                round_results = [results[k] for k in keys if k in results]
-                all_results.extend(round_results)
-                for k in keys:
-                    if k not in results:
-                        continue
-                    arm = by_key[k].arm
-                    r = results[k]
-                    cur = arm_best.get(arm)
-                    if cur is None or (r.cost, r.seed) < (
-                        cur.cost,
-                        cur.seed,
-                    ):
-                        arm_best[arm] = r
-                if not arm_best:
-                    raise WorkerFailure(
-                        "every portfolio leg failed in round 0: "
-                        + "; ".join(reports[k].summary() for k in keys)
-                    )
-                entry = {
-                    "round": round_i,
-                    "legs": [
-                        {
-                            "key": p.key,
-                            "arm": p.arm,
-                            "kind": p.kind,
-                            "seed": p.seed,
-                            "t0_scale": p.t0_scale,
-                            "delivered": p.key in results,
-                            "cost": (
-                                results[p.key].cost
-                                if p.key in results
-                                else None
-                            ),
-                        }
+                            observer.metrics.count(f"slots[{p.arm}]")
+                            if p.kind == "migrate":
+                                observer.event(
+                                    "migration",
+                                    round=round_i,
+                                    arm=p.arm,
+                                    seed=p.seed,
+                                )
+                                observer.metrics.count("champion_migrations")
+                    by_key = {p.key: p for p in plans}
+                    keys = [p.key for p in plans]
+                    reports = {
+                        p.key: RunReport(
+                            seed=p.seed,
+                            label=f"round {round_i} / {p.arm} / {p.kind}",
+                        )
                         for p in plans
-                    ],
-                    "arm_best": {
-                        a: arm_best[a].cost for a in sorted(arm_best)
-                    },
-                }
-                round_ledger.append(entry)
-                if observer is not None:
-                    # On-disk twin of ledger["rounds"]: the allocation
-                    # outcome survives even if the run dies later.
-                    observer.event("allocation", **entry)
-                next_round = round_i + 1
-                if next_round % cfg.checkpoint_every == 0 or (
-                    next_round == cfg.rounds
-                ):
-                    checkpoints_written += self._write_checkpoint(
-                        snapshot(next_round), control, observer
+                    }
+                    results: Dict[int, EngineResult] = {}
+                    jobs.clear()
+                    jobs.update(
+                        (
+                            p.key,
+                            cfg.job(
+                                p.arm,
+                                p.seed,
+                                key=p.key,
+                                initial_state=p.initial_state,
+                                t0_scale=p.t0_scale,
+                            ),
+                        )
+                        for p in plans
                     )
+                    workers = 1 if degraded else min(cfg.workers, len(keys))
+                    rebuilds, deg = runner.run(
+                        keys, workers, reports, results, control
+                    )
+                    rebuilds_total += rebuilds
+                    degraded = degraded or deg
+                    stopped = control is not None and control.stop_requested
+                    if stopped and len(results) + sum(
+                        1 for k in keys if reports[k].status == "failed"
+                    ) < len(keys):
+                        # Partial round: discard it so resume replays the
+                        # whole round and allocation decisions stay
+                        # bit-identical.
+                        for k in keys:
+                            if (
+                                k not in results
+                                and reports[k].status == "pending"
+                            ):
+                                reports[k].status = "skipped"
+                        all_reports.extend(reports[k] for k in keys)
+                        stop_reason = control.should_stop() or "stop"
+                        checkpoints_written += self._write_checkpoint(
+                            snapshot(round_i), control, observer
+                        )
+                        break
+                    # Commit the round.
+                    for k in keys:
+                        if k not in results and reports[k].status == "pending":
+                            reports[k].status = "failed"
+                    for k in keys:
+                        if k in results:
+                            reports[k].attach_result(results[k])
+                            if observer is not None:
+                                observer.merge_result(
+                                    results[k],
+                                    key=k,
+                                    arm=by_key[k].arm,
+                                    kind=by_key[k].kind,
+                                )
+                    all_reports.extend(reports[k] for k in keys)
+                    round_results = [results[k] for k in keys if k in results]
+                    all_results.extend(round_results)
+                    for k in keys:
+                        if k not in results:
+                            continue
+                        arm = by_key[k].arm
+                        r = results[k]
+                        cur = arm_best.get(arm)
+                        if cur is None or (r.cost, r.seed) < (
+                            cur.cost,
+                            cur.seed,
+                        ):
+                            arm_best[arm] = r
+                    if not arm_best:
+                        raise WorkerFailure(
+                            "every portfolio leg failed in round 0: "
+                            + "; ".join(reports[k].summary() for k in keys)
+                        )
+                    entry = {
+                        "round": round_i,
+                        "legs": [
+                            {
+                                "key": p.key,
+                                "arm": p.arm,
+                                "kind": p.kind,
+                                "seed": p.seed,
+                                "t0_scale": p.t0_scale,
+                                "delivered": p.key in results,
+                                "cost": (
+                                    results[p.key].cost
+                                    if p.key in results
+                                    else None
+                                ),
+                            }
+                            for p in plans
+                        ],
+                        "arm_best": {
+                            a: arm_best[a].cost for a in sorted(arm_best)
+                        },
+                    }
+                    round_ledger.append(entry)
+                    if observer is not None:
+                        # On-disk twin of ledger["rounds"]: the allocation
+                        # outcome survives even if the run dies later.
+                        observer.event("allocation", **entry)
+                    next_round = round_i + 1
+                    if next_round % cfg.checkpoint_every == 0 or (
+                        next_round == cfg.rounds
+                    ):
+                        checkpoints_written += self._write_checkpoint(
+                            snapshot(next_round), control, observer
+                        )
 
         if not all_results:
             raise WorkerFailure("portfolio produced no leg results")

@@ -30,6 +30,14 @@ suite locked in:
   ``degraded`` and the caller finishes the remaining jobs sequentially
   through the very same ``fn``.
 
+Pool lifetime: a runner owns **one** :class:`ProcessPoolExecutor` for
+its whole life.  It is created lazily by the first pool dispatch (so
+building a runner forks nothing) and released by :meth:`close` -- or
+by leaving a ``with`` block.  Every :meth:`run` call, from any number
+of threads at once, shares that pool; a pool death retires it exactly
+once, and ``max_pool_rebuilds`` counts retirements over the runner's
+lifetime, not per call.
+
 Determinism: the runner itself makes no random choices and jobs are
 harvested in key order, so a sequential pass and a pool pass over the
 same jobs produce identical results whenever ``fn`` is a pure function
@@ -40,8 +48,10 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -97,14 +107,18 @@ class SupervisedRunner:
     heartbeat_timeout:
         Seconds of heartbeat staleness that count as a hang.
     max_pool_rebuilds:
-        Pool teardowns tolerated before :meth:`run_pool` reports
-        ``degraded``.
+        Pool teardowns tolerated over the runner's lifetime before it
+        latches ``degraded``.
     observer:
         Optional :class:`repro.obs.RunObserver`; every failure, pool
         rebuild and degradation is mirrored into it as a trace event
         and a metrics counter (``supervision_retries`` /
         ``pool_rebuilds`` / ``degraded``), so a crashed run's
         supervision history survives on disk.
+
+    The runner owns one lazily created pool until :meth:`close` (use it
+    as a context manager); ``pool_rebuilds`` and ``degraded`` are its
+    lifetime totals.
     """
 
     def __init__(
@@ -158,6 +172,15 @@ class SupervisedRunner:
         self.heartbeat_poll = float(heartbeat_poll)
         self.max_pool_rebuilds = int(max_pool_rebuilds)
         self.observer = observer
+        self.pool_rebuilds = 0
+        self.degraded = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        # Pools killed for a hang: their other jobs retry without charge.
+        self._hung_pools: "weakref.WeakSet[ProcessPoolExecutor]" = (
+            weakref.WeakSet()
+        )
+        self._lock = threading.Lock()
+        self._sequential_lock = threading.Lock()
 
     def _max_attempts(self) -> int:
         return 1 + self.max_retries
@@ -248,6 +271,67 @@ class SupervisedRunner:
         for proc in processes:
             proc.join(timeout=5.0)
 
+    # -- pool lifetime -------------------------------------------------
+
+    def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The live pool; the first pool dispatch creates it with
+        ``workers`` processes and every later call shares it."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+            return self._pool
+
+    def _retire(self, pool: ProcessPoolExecutor, hung: bool) -> int:
+        """Kill ``pool`` if it is still the live one.  Returns 1 when
+        this call retired it and 0 when another caller already had, so
+        one pool death is one rebuild however many callers saw it.
+
+        ``hung`` marks the pool as killed for a hang *before* its
+        workers die: a caller whose future breaks with it then knows
+        its own job was collateral and retries it without a charge.
+        """
+        with self._lock:
+            if self._pool is not pool:
+                return 0
+            self._pool = None
+            if hung:
+                self._hung_pools.add(pool)
+            self.pool_rebuilds += 1
+            rebuilds = self.pool_rebuilds
+        self._kill_pool(pool)
+        self._note_incident(
+            "pool_rebuild", "pool_rebuilds", rebuilds=rebuilds
+        )
+        return 1
+
+    def _latch_degraded(self) -> bool:
+        """Whether the runner is degraded; the first caller to find the
+        rebuild budget spent latches it and records the incident."""
+        with self._lock:
+            if self.degraded or self.pool_rebuilds <= self.max_pool_rebuilds:
+                return self.degraded
+            self.degraded = True
+        self._note_incident(
+            "supervision_degraded", "degraded", rebuilds=self.pool_rebuilds
+        )
+        return True
+
+    def close(self) -> None:
+        """Release the pool, waiting for its workers to exit (a later
+        pool dispatch would start a fresh one)."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def __enter__(self) -> "SupervisedRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- execution -----------------------------------------------------
+
     def run_pool(
         self,
         keys: Sequence[int],
@@ -256,30 +340,27 @@ class SupervisedRunner:
         results: Dict[int, object],
         control=None,
     ) -> Tuple[int, bool]:
-        """Supervised pool execution.  Returns ``(rebuilds, degraded)``.
-
-        ``degraded`` means the pool died more than ``max_pool_rebuilds``
-        times; the caller should finish the remaining keys with
-        :meth:`run_sequential`.
+        """Supervised pool execution.  Returns ``(rebuilds, degraded)``:
+        the pool retirements this call performed, and whether the
+        runner is degraded -- the caller should then finish the
+        remaining keys with :meth:`run_sequential`.
         """
         rebuilds = 0
-        pool: Optional[ProcessPoolExecutor] = None
-        try:
-            while True:
-                if control is not None and control.should_stop():
-                    break
-                todo = [
-                    k
-                    for k in keys
-                    if k not in results
-                    and reports[k].attempts < self._max_attempts()
-                ]
-                if not todo:
-                    break
-                if rebuilds > self.max_pool_rebuilds:
-                    return rebuilds, True  # degrade to sequential
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=workers)
+        while True:
+            if control is not None and control.should_stop():
+                break
+            todo = [
+                k
+                for k in keys
+                if k not in results
+                and reports[k].attempts < self._max_attempts()
+            ]
+            if not todo:
+                break
+            if self._latch_degraded():
+                return rebuilds, True
+            pool = self._acquire_pool(workers)
+            try:
                 futures = {
                     k: pool.submit(
                         self.fn,
@@ -287,95 +368,96 @@ class SupervisedRunner:
                     )
                     for k in todo
                 }
-                pool_died = False
-                for k in todo:
-                    if k in results:
-                        continue
-                    try:
-                        result = self._wait_result(k, futures[k])
-                    except _FuturesTimeout:
-                        reports[k].record_failure(
-                            "timeout",
-                            f"no result within {self.timeout}s; "
-                            f"pool killed",
-                        )
-                        self._note_failure(k, reports[k].attempts, "timeout")
-                        pool_died = True
-                        break
-                    except _HeartbeatStalled as exc:
-                        # Hung, by liveness evidence rather than budget
-                        # exhaustion; same remedy as a timeout (wedged
-                        # workers are terminated, never waited on).
-                        reports[k].record_failure("timeout", str(exc))
-                        self._note_failure(k, reports[k].attempts, "timeout")
-                        pool_died = True
-                        break
-                    except BrokenProcessPool as exc:
-                        # The dying worker takes the whole pool down and
-                        # the executor cannot say which worker it was:
-                        # harvest whatever did finish, then charge one
-                        # attempt to every in-flight key.  The culprit
-                        # among them advances past its faulting attempt;
-                        # the innocents just retry.
-                        for t in todo:
-                            if t in results:
-                                continue
-                            fut = futures[t]
-                            harvested = False
-                            if fut.done() and not fut.cancelled():
-                                try:
-                                    results[t] = fut.result(timeout=0)
-                                except Exception:
-                                    pass
-                                else:
-                                    reports[t].status = "ok"
-                                    reports[t].mode = "pool"
-                                    reports[t].attempts += 1
-                                    harvested = True
-                            if not harvested:
-                                reports[t].record_failure(
-                                    "crash",
-                                    f"worker process died with the pool: "
-                                    f"{exc}",
-                                )
-                                self._note_failure(
-                                    t, reports[t].attempts, "crash"
-                                )
-                        pool_died = True
-                        break
-                    except Exception as exc:
-                        # The worker survived and reported a real
-                        # exception; the pool is still healthy.
-                        reports[k].record_failure(
-                            "error", f"{type(exc).__name__}: {exc}"
-                        )
-                        self._note_failure(k, reports[k].attempts, "error")
-                        continue
-                    else:
-                        results[k] = result
-                        reports[k].status = "ok"
-                        reports[k].mode = "pool"
-                        reports[k].attempts += 1
-                if pool_died:
-                    self._kill_pool(pool)
-                    pool = None
-                    rebuilds += 1
-                    self._note_incident(
-                        "pool_rebuild", "pool_rebuilds", rebuilds=rebuilds
-                    )
-                failed = max(
-                    (r.attempts for r in reports.values() if r.failures),
-                    default=0,
-                )
-                if any(
-                    k not in results
-                    and reports[k].attempts < self._max_attempts()
-                    for k in todo
+            except (BrokenProcessPool, RuntimeError) as exc:
+                # Another caller's job broke or retired the pool between
+                # acquire and submit; none of ours ran, so none is
+                # charged.
+                if self._pool is pool and not isinstance(
+                    exc, BrokenProcessPool
                 ):
-                    self._backoff(failed)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+                    raise
+                rebuilds += self._retire(pool, hung=False)
+                continue
+            for k in todo:
+                if k in results:
+                    continue
+                try:
+                    result = self._wait_result(k, futures[k])
+                except (_FuturesTimeout, _HeartbeatStalled) as exc:
+                    # Hung, by budget exhaustion or by liveness evidence:
+                    # only this job is charged.  Wedged workers are
+                    # terminated, never waited on; the jobs killed with
+                    # them retry free.
+                    reports[k].record_failure(
+                        "timeout",
+                        str(exc)
+                        if isinstance(exc, _HeartbeatStalled)
+                        else f"no result within {self.timeout}s; "
+                        f"pool killed",
+                    )
+                    self._note_failure(k, reports[k].attempts, "timeout")
+                    rebuilds += self._retire(pool, hung=True)
+                    break
+                except (BrokenProcessPool, CancelledError) as exc:
+                    # The pool died.  Killed for another job's hang, our
+                    # in-flight jobs were collateral and retry free.
+                    # Otherwise a worker crashed and took the pool down,
+                    # and the executor cannot name the culprit: harvest
+                    # whatever did finish, then charge one attempt to
+                    # every in-flight key.  The culprit among them
+                    # advances past its faulting attempt; the innocents
+                    # just retry.
+                    collateral = pool in self._hung_pools
+                    for t in todo:
+                        if t in results:
+                            continue
+                        fut = futures[t]
+                        harvested = False
+                        if fut.done() and not fut.cancelled():
+                            try:
+                                results[t] = fut.result(timeout=0)
+                            except Exception:
+                                pass
+                            else:
+                                reports[t].status = "ok"
+                                reports[t].mode = "pool"
+                                reports[t].attempts += 1
+                                harvested = True
+                        if not harvested and not collateral:
+                            reports[t].record_failure(
+                                "crash",
+                                f"worker process died with the pool: "
+                                f"{exc}",
+                            )
+                            self._note_failure(
+                                t, reports[t].attempts, "crash"
+                            )
+                    if not collateral:
+                        rebuilds += self._retire(pool, hung=False)
+                    break
+                except Exception as exc:
+                    # The worker survived and reported a real
+                    # exception; the pool is still healthy.
+                    reports[k].record_failure(
+                        "error", f"{type(exc).__name__}: {exc}"
+                    )
+                    self._note_failure(k, reports[k].attempts, "error")
+                    continue
+                else:
+                    results[k] = result
+                    reports[k].status = "ok"
+                    reports[k].mode = "pool"
+                    reports[k].attempts += 1
+            failed = max(
+                (r.attempts for r in reports.values() if r.failures),
+                default=0,
+            )
+            if any(
+                k not in results
+                and reports[k].attempts < self._max_attempts()
+                for k in todo
+            ):
+                self._backoff(failed)
         return rebuilds, False
 
     def run_sequential(
@@ -389,34 +471,39 @@ class SupervisedRunner:
 
         ``control`` rides along as a keyword argument to ``fn`` (it
         holds a lock and cannot cross a process boundary); a stop
-        request skips the keys that have not started yet.
+        request skips the keys that have not started yet.  Calls from
+        several threads run one at a time: in-process runs share the
+        caller's process, so they are serialised by a runner lock.
         """
-        for k in keys:
-            if k in results:
-                continue
-            while (
-                k not in results
-                and reports[k].attempts < self._max_attempts()
-            ):
-                if control is not None and control.should_stop():
-                    if reports[k].status == "pending":
-                        reports[k].status = "skipped"
-                    return
-                self._backoff(len(reports[k].failures))
-                try:
-                    results[k] = self.fn(
-                        *self.make_args(k, reports[k].attempts, "sequential"),
-                        control=control,
-                    )
-                except Exception as exc:
-                    reports[k].record_failure(
-                        "error", f"{type(exc).__name__}: {exc}"
-                    )
-                    self._note_failure(k, reports[k].attempts, "error")
-                else:
-                    reports[k].status = "ok"
-                    reports[k].mode = "sequential"
-                    reports[k].attempts += 1
+        with self._sequential_lock:
+            for k in keys:
+                if k in results:
+                    continue
+                while (
+                    k not in results
+                    and reports[k].attempts < self._max_attempts()
+                ):
+                    if control is not None and control.should_stop():
+                        if reports[k].status == "pending":
+                            reports[k].status = "skipped"
+                        return
+                    self._backoff(len(reports[k].failures))
+                    try:
+                        results[k] = self.fn(
+                            *self.make_args(
+                                k, reports[k].attempts, "sequential"
+                            ),
+                            control=control,
+                        )
+                    except Exception as exc:
+                        reports[k].record_failure(
+                            "error", f"{type(exc).__name__}: {exc}"
+                        )
+                        self._note_failure(k, reports[k].attempts, "error")
+                    else:
+                        reports[k].status = "ok"
+                        reports[k].mode = "sequential"
+                        reports[k].attempts += 1
 
     def run(
         self,
@@ -427,9 +514,11 @@ class SupervisedRunner:
         control=None,
     ) -> Tuple[int, bool]:
         """Run every key to completion: pool first (when ``workers > 1``),
-        sequential for the remainder or when degraded.
+        sequential for the remainder or when degraded.  Safe to call
+        from several threads at once; they share the runner's pool.
 
-        Returns ``(pool_rebuilds, degraded)``.
+        Returns ``(pool_rebuilds, degraded)`` -- the pool retirements
+        this call performed, and whether the runner is degraded.
         """
         rebuilds = 0
         degraded = False
@@ -437,10 +526,6 @@ class SupervisedRunner:
             rebuilds, degraded = self.run_pool(
                 keys, workers, reports, results, control
             )
-            if degraded:
-                self._note_incident(
-                    "supervision_degraded", "degraded", rebuilds=rebuilds
-                )
         if workers <= 1 or degraded:
             self.run_sequential(keys, reports, results, control)
         return rebuilds, degraded

@@ -13,8 +13,9 @@ multi-tenant job server without adding a single dependency:
   (identical submissions short-circuit to a stored answer);
 * :mod:`repro.service.worker` -- the picklable per-job run function:
   checkpoint-resume, heartbeats, drain awareness;
-* :mod:`repro.service.fleet` -- the supervised process-pool dispatcher
-  (retries, pool rebuilds, graceful degradation to sequential);
+* :mod:`repro.service.fleet` -- the supervised worker fleet: slot
+  threads feeding one long-lived process pool (retries, pool rebuilds,
+  graceful degradation to sequential);
 * :mod:`repro.service.server` -- the stdlib asyncio HTTP front end and
   drain-on-SIGTERM lifecycle;
 * :mod:`repro.service.client` -- the programmatic client with safe

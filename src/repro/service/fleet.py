@@ -1,42 +1,50 @@
 """The supervised worker fleet: claims jobs, survives its workers.
 
-:class:`ServiceFleet` is the service's execution arm -- a dispatcher
-thread that claims batches of ready jobs from the
-:class:`~repro.service.queue.JobQueue` and runs them through a
+:class:`ServiceFleet` is the service's execution arm -- ``workers``
+slot threads, each claiming one ready job from the
+:class:`~repro.service.queue.JobQueue` the moment it is free and
+running it on one long-lived
 :class:`~repro.engine.supervise.SupervisedRunner` process pool (the
-same machinery PR 3 built for multistart, here with heartbeat hang
-detection and jittered retry backoff turned on).
+same machinery the search drivers use, here with heartbeat hang
+detection and jittered retry backoff turned on).  Nothing waits for a
+batch: a slot whose job finishes settles it and claims the next,
+while its neighbours keep running.  An idle slot blocks on the queue's
+condition and wakes on the next journaled submit.
 
 The supervision ladder, from mildest to worst:
 
 * a worker that **raises** charges one attempt to its job; bounded
   retries with exponential-plus-jitter backoff;
-* a worker that **crashes or hangs** (heartbeat gone stale) costs the
-  pool: finished futures are harvested, every in-flight job is charged
-  one attempt, the pool is killed and rebuilt, and the blame lands in
-  each affected job's :class:`~repro.engine.multistart.RunReport`;
-* a pool that keeps dying past ``max_pool_rebuilds`` **degrades the
-  fleet to sequential execution** -- a latch, not a retry: every later
-  batch runs in-process until the service restarts, trading throughput
-  for certainty;
+* a worker that **crashes** costs the pool: finished futures are
+  harvested, every in-flight job is charged one attempt, the pool is
+  killed and rebuilt once, and the blame lands in each affected job's
+  :class:`~repro.engine.multistart.RunReport`;
+* a worker that **hangs** (heartbeat gone stale, or past
+  ``timeout``) costs the pool too, but only the hung job is charged;
+  the jobs killed along with it retry free;
+* a pool that keeps dying past ``max_pool_rebuilds`` (counted over the
+  fleet's run) **degrades the fleet to sequential execution** -- a
+  latch, not a retry: every later job runs in-process, one at a time,
+  until the service restarts, trading throughput for certainty;
 * killed attempts are never wasted work: the next attempt finds the
   job's checkpoint and *resumes* it, bit-identical to an uninterrupted
   run.
 
-Job dispositions after a batch: a completed run files its result under
-the spec's content hash and the job goes ``done``; a deadline-stopped
-run files its best-so-far under a per-job key (``job-<id>``) and still
-goes ``done`` (the deadline asked for exactly this); a drain/signal
-stop **requeues** the job so the next server run resumes it; exhausted
+Job dispositions: a completed run files its result under the spec's
+content hash and the job goes ``done``; a deadline-stopped run files
+its best-so-far under a per-job key (``job-<id>``) and still goes
+``done`` (the deadline asked for exactly this); a drain/signal stop
+**requeues** the job so the next server run resumes it; exhausted
 retries go ``failed`` with the full supervision ledger attached.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.control import RunControl
 from repro.engine.multistart import RunReport
@@ -50,14 +58,17 @@ __all__ = ["ServiceFleet"]
 
 
 class ServiceFleet:
-    """Dispatcher thread + supervised process pool over the job queue.
+    """Slot threads + one supervised process pool over the job queue.
 
     Parameters mirror :class:`~repro.engine.supervise.SupervisedRunner`
-    where they share names.  ``faults`` maps ``job_id`` to a
-    :class:`repro.testing.faults.FaultSpec` (test-only; lets the fault
-    suite kill exactly one chosen job's worker).  ``metrics`` is a
-    :class:`repro.obs.MetricsRegistry`; pass the service's so fleet
-    counters land on ``/metrics``.
+    where they share names.  ``workers`` is both the number of slot
+    threads and the pool's size; with ``workers=1`` the single slot runs
+    jobs in-process.  ``poll_interval`` bounds how long an idle slot
+    sleeps on the queue's condition before it looks again.  ``faults``
+    maps ``job_id`` to a :class:`repro.testing.faults.FaultSpec`
+    (test-only; lets the fault suite kill exactly one chosen job's
+    worker).  ``metrics`` is a :class:`repro.obs.MetricsRegistry`; pass
+    the service's so fleet counters land on ``/metrics``.
     """
 
     def __init__(
@@ -99,13 +110,20 @@ class ServiceFleet:
         self.sequential_only = False  # the degradation latch
         self.pool_rebuilds = 0
         self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._slots: List[threading.Thread] = []
+        self._runner: Optional[SupervisedRunner] = None
+        # Runner keys are dispatch numbers, so a requeued job's rerun
+        # never collides with its earlier dispatch.
+        self._keys = itertools.count()
+        self._payloads: Dict[int, JobPayload] = {}
+        self._lock = threading.Lock()  # fleet counters and the latch
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        """Start the dispatcher thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
+        """Start the slot threads (idempotent).  The pool itself is
+        forked by the first pooled job, not here."""
+        if self.running:
             return
         # A stop file surviving from a previous (drained or killed)
         # server must not halt this one's workers.
@@ -115,31 +133,57 @@ class ServiceFleet:
             pass
         self.control = RunControl()
         self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="service-fleet", daemon=True
+        payloads = self._payloads  # not ``self``: no fleet <-> runner cycle
+        self._runner = SupervisedRunner(
+            fn=run_service_job,
+            make_args=lambda k, attempt, mode: (payloads[k], attempt, mode),
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            retry_backoff=self.retry_backoff,
+            retry_jitter=self.retry_jitter,
+            heartbeat_path=lambda k: payloads[k].heartbeat_path,
+            heartbeat_timeout=self.heartbeat_timeout,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            observer=self.observer,
         )
-        self._thread.start()
+        self._slots = [
+            threading.Thread(
+                target=self._slot,
+                name="service-fleet" if i == 0 else f"service-fleet-{i}",
+                daemon=True,
+            )
+            for i in range(self.workers)
+        ]
+        for slot in self._slots:
+            slot.start()
 
     def drain(self, timeout: float = 60.0) -> None:
         """Graceful shutdown: stop claiming, checkpoint running jobs,
-        requeue them, compact the journal.
+        requeue them, release the pool, compact the journal.
 
         The drain signal travels two ways at once -- the stop *file*
         for pool workers (separate processes) and the parent control's
         stop flag for sequential/in-process jobs -- so every running
         job writes a final checkpoint and comes home with
-        ``stop_reason="drain"`` instead of being killed mid-move.
+        ``stop_reason="drain"`` instead of being killed mid-move.  Idle
+        slots are woken, every slot is joined, and only then is the
+        pool shut down (waiting for its processes), so no worker
+        outlives the drain.
         """
         self._stop_event.set()
         self.stop_path.write_text("drain\n")
         self.control.request_stop("drain")
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        self.queue.wake()
+        deadline = time.monotonic() + timeout
+        for slot in self._slots:
+            slot.join(timeout=max(0.0, deadline - time.monotonic()))
+        if self._runner is not None:
+            self._runner.close()
         self.queue.compact()
 
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return any(slot.is_alive() for slot in self._slots)
 
     def wait_idle(self, timeout: float = 60.0) -> bool:
         """Block until no job is queued or running (or ``timeout``);
@@ -154,24 +198,39 @@ class ServiceFleet:
 
     # -- dispatch -----------------------------------------------------
 
-    def _loop(self) -> None:
+    def _slot(self) -> None:
+        """One slot: claim a job as soon as this slot is free, run it,
+        settle it; sleep on the queue's condition while nothing is
+        ready."""
         while not self._stop_event.is_set():
-            batch = self.queue.claim(self.workers)
-            if not batch:
-                self._stop_event.wait(self.poll_interval)
-                continue
+            claimed = self.queue.claim(1)
+            if claimed:
+                self._dispatch(claimed[0])
+            else:
+                self.queue.wait_ready(
+                    self.poll_interval, stop=self._stop_event.is_set
+                )
+
+    def _dispatch(self, job: Job) -> None:
+        """Run and settle one claimed job.  Never raises: a slot must
+        outlive any job.  A job whose run or settle fails is requeued
+        if it is still ``running``; a job something else raced to a
+        terminal state is left where it is."""
+        started = time.monotonic()
+        try:
+            self._settle(job, *self._run(job))
+        except Exception as exc:
+            self._count("service_dispatch_errors")
             try:
-                self._run_batch(batch)
-            except Exception as exc:  # dispatcher must outlive any batch
-                self._count("service_dispatch_errors")
-                for job in batch:
-                    try:
-                        if self.queue.get(job.job_id).state == "running":
-                            self.queue.requeue(
-                                job.job_id, f"dispatcher error: {exc}"
-                            )
-                    except Exception:
-                        pass
+                if self.queue.get(job.job_id).state == "running":
+                    self.queue.requeue(job.job_id, f"dispatch error: {exc}")
+            except Exception:
+                pass
+        if self.metrics is not None:
+            with self._lock:
+                self.metrics.observe(
+                    "service_batch_seconds", time.monotonic() - started
+                )
 
     def _job_dir(self, job_id: str) -> Path:
         return self.jobs_root / "jobs" / job_id
@@ -197,72 +256,36 @@ class ServiceFleet:
 
     def _count(self, name: str, n: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.count(name, n)
+            with self._lock:
+                self.metrics.count(name, n)
 
-    def _run_batch(self, batch: List[Job]) -> None:
-        payloads = {k: self._payload(job) for k, job in enumerate(batch)}
-        reports = {
-            k: RunReport(seed=job.spec.seed, label=job.job_id)
-            for k, job in enumerate(batch)
-        }
+    def _run(self, job: Job) -> Tuple[Optional[object], RunReport]:
+        """One supervised run of ``job`` -- exactly one
+        :meth:`SupervisedRunner.run` call -- and its ledger."""
+        key = next(self._keys)
+        self._payloads[key] = self._payload(job)
+        report = RunReport(seed=job.spec.seed, label=job.job_id)
         results: Dict[int, object] = {}
-        runner = SupervisedRunner(
-            fn=run_service_job,
-            make_args=lambda k, attempt, mode: (payloads[k], attempt, mode),
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            retry_jitter=self.retry_jitter,
-            heartbeat_path=lambda k: payloads[k].heartbeat_path,
-            heartbeat_timeout=self.heartbeat_timeout,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            observer=self.observer,
-        )
-        effective = 1 if self.sequential_only else self.workers
-        started = time.monotonic()
-        rebuilds, degraded = runner.run(
-            list(payloads), effective, reports, results, control=self.control
-        )
-        self.pool_rebuilds += rebuilds
-        self._count("service_pool_rebuilds", rebuilds)
-        if degraded and not self.sequential_only:
+        try:
+            rebuilds, degraded = self._runner.run(
+                [key],
+                1 if self.sequential_only else self.workers,
+                {key: report},
+                results,
+                control=self.control,
+            )
+        finally:
+            del self._payloads[key]
+        with self._lock:
+            self.pool_rebuilds += rebuilds
             # Latch, don't retry: a machine whose pools keep dying gets
             # slow-but-certain sequential execution until restart.
-            self.sequential_only = True
+            latched = degraded and not self.sequential_only
+            self.sequential_only = self.sequential_only or degraded
+        self._count("service_pool_rebuilds", rebuilds)
+        if latched:
             self._count("service_degraded")
-        self._settle_batch(batch, results, reports)
-        if self.metrics is not None:
-            self.metrics.observe(
-                "service_batch_seconds", time.monotonic() - started
-            )
-
-    def _settle_batch(
-        self,
-        batch: List[Job],
-        results: Dict[int, object],
-        reports: Dict[int, RunReport],
-    ) -> None:
-        """Settle every job in the batch, tolerating per-job failures.
-
-        One job whose transition is refused (e.g. something raced it to
-        a terminal state) or whose store write fails must not abort the
-        settling of its batch-mates -- their results are real and
-        discarding them would re-run finished work.  The failed job is
-        requeued if it is still ``running``; terminal states are left
-        where they are.
-        """
-        for k, job in enumerate(batch):
-            try:
-                self._settle(job, results.get(k), reports[k])
-            except Exception as exc:
-                self._count("service_settle_errors")
-                try:
-                    if self.queue.get(job.job_id).state == "running":
-                        self.queue.requeue(
-                            job.job_id, f"settle error: {exc}"
-                        )
-                except Exception:
-                    pass
+        return results.get(key), report
 
     def _settle(
         self, job: Job, outcome: Optional[object], report: RunReport
@@ -293,8 +316,11 @@ class ServiceFleet:
                     report=report_json,
                 )
                 self._count("service_jobs_requeued")
-        elif report.status == "skipped":
-            # A stop arrived before this job's attempt started.
+        elif (
+            report.status == "skipped"
+            or report.attempts < 1 + self.max_retries
+        ):
+            # A stop arrived before this job's attempt (re)started.
             self.queue.requeue(
                 job.job_id, "drain before start", report=report_json
             )

@@ -265,7 +265,11 @@ class Job:
     (:meth:`~repro.engine.multistart.RunReport.to_json` image) attached
     on failure/requeue, so blame survives in the job record itself.
     Timestamps are wall-clock seconds for humans; replay never branches
-    on them.
+    on them.  ``started_at`` is stamped by the latest claim, so
+    ``started_at - submitted_at`` is the queue wait (of the last
+    attempt's claim, after a requeue) and ``finished_at - started_at``
+    the run time; it is ``None`` for a job never claimed and for
+    records written before it existed.
     """
 
     job_id: str
@@ -278,6 +282,7 @@ class Job:
     error: Optional[str] = None
     report: Optional[Dict[str, Any]] = None
     submitted_at: float = 0.0
+    started_at: Optional[float] = None
     finished_at: Optional[float] = None
 
     @property
@@ -315,6 +320,7 @@ class Job:
             "error": self.error,
             "report": self.report,
             "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
             "finished_at": self.finished_at,
             "spec": spec,
         }
@@ -332,6 +338,7 @@ class Job:
             "error": self.error,
             "report": self.report,
             "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
 
@@ -348,6 +355,7 @@ class Job:
             error=data.get("error"),
             report=data.get("report"),
             submitted_at=float(data.get("submitted_at", 0.0)),
+            started_at=data.get("started_at"),
             finished_at=data.get("finished_at"),
         )
 

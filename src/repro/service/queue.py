@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import JobNotFound, QuotaExceeded, ServiceError
 from repro.service.jobs import Job, JobSpec
@@ -65,7 +65,10 @@ class JobQueue:
         replay never branches on it.
 
     Thread safety: every public method takes the queue lock; the HTTP
-    thread and the dispatcher thread share one instance.
+    thread and the fleet's slot threads share one instance.  A
+    condition on that lock is notified on every journaled record, so
+    an idle slot blocked in :meth:`wait_ready` wakes the moment a job
+    is submitted or requeued.
     """
 
     def __init__(
@@ -91,6 +94,7 @@ class JobQueue:
         self.compact_every = int(compact_every)
         self._now = now
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
         self.jobs: Dict[str, Job] = {}
         self._by_idempotency: Dict[str, str] = {}
         self._seq = 0  # last journal seq applied (and written)
@@ -176,6 +180,8 @@ class JobQueue:
                 job.error = data["error"]
             if "report" in data:
                 job.report = data["report"]
+            if "started_at" in data:
+                job.started_at = data["started_at"]
             if "finished_at" in data:
                 job.finished_at = data["finished_at"]
         else:
@@ -193,6 +199,7 @@ class JobQueue:
         append_record(self.journal_path, record)
         self._seq = record.seq
         self._apply(record)
+        self._changed.notify_all()
         self._records_since_compact += 1
         if self._records_since_compact >= self.compact_every:
             self.compact()
@@ -224,7 +231,7 @@ class JobQueue:
         ``cached_result_key`` is the content-cache short-circuit: the
         caller already holds a stored result for this spec's content
         hash, so the job is born ``done`` (one submit record, applied
-        under the queue lock) and the dispatcher can never claim it.
+        under the queue lock) and the fleet can never claim it.
         Doing this *inside* submit closes the race where a separate
         ``submit -> complete`` pair let the fleet claim the job in
         between, making the cached complete collide with the worker's.
@@ -283,12 +290,35 @@ class JobQueue:
             return ready
 
     def claim(self, max_jobs: int) -> List[Job]:
-        """Move up to ``max_jobs`` ready jobs to ``running``."""
+        """Move up to ``max_jobs`` ready jobs to ``running``, stamping
+        ``started_at`` (the split between queue wait and run time)."""
         with self._lock:
             batch = self.ready_jobs()[: max(0, max_jobs)]
             for job in batch:
-                self._transition(job, "running", attempts=job.attempts + 1)
+                self._transition(
+                    job,
+                    "running",
+                    attempts=job.attempts + 1,
+                    started_at=self._now(),
+                )
             return batch
+
+    def wait_ready(self, timeout: float, stop: Callable[[], bool]) -> None:
+        """Block until a job is queued, ``stop()`` is true, or
+        ``timeout`` seconds pass.  Both conditions are checked under
+        the queue lock, so a submit or a :meth:`wake` cannot slip in
+        between the check and the wait."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: stop()
+                or any(j.state == "queued" for j in self.jobs.values()),
+                timeout,
+            )
+
+    def wake(self) -> None:
+        """Wake every thread blocked in :meth:`wait_ready` (drain)."""
+        with self._changed:
+            self._changed.notify_all()
 
     def complete(
         self,

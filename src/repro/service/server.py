@@ -148,7 +148,7 @@ class FloorplanService:
         with self.metrics.timeit("service_submit"):
             # The store is append-only, so a hit observed here is still
             # a hit when submit journals the job; submit() itself births
-            # the job `done` under the queue lock, so the dispatcher can
+            # the job `done` under the queue lock, so the fleet can
             # never claim it between enqueue and cache short-circuit.
             content_key = spec.content_hash()
             cached_key = content_key if self.store.has(content_key) else None

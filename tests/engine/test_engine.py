@@ -169,3 +169,28 @@ class TestStrictIncrementalRepresentations:
             netlist, name, seed=11, objective_factory=factory
         ).run()
         assert result.n_moves > 0
+
+
+def test_checkpointed_run_frees_engine_by_refcount(tmp_path):
+    """The control keeps the checkpoint writer; the writer must not
+    keep the control, or the cycle holds the whole engine (netlist,
+    caches, evaluation state) until a full collection -- memory a
+    long-lived pool worker would pile up job after job."""
+    import gc
+    import weakref
+
+    from repro.engine import RunControl
+
+    netlist = random_circuit(6, 8, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = _engine(netlist, "sp", seed=1)
+        control = RunControl(checkpoint_path=tmp_path / "run.ckpt")
+        engine.run(control=control)
+        assert control.checkpoints_written > 0
+        ref = weakref.ref(engine)
+        del engine, control
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -24,7 +24,9 @@ def test_stale_preexisting_heartbeat_cannot_condemn_fresh_attempt(tmp_path):
     long_ago = time.time() - 300.0
     os.utime(heartbeat, (long_ago, long_ago))
 
-    runner = SupervisedRunner(
+    reports = {1: RunReport(seed=1)}
+    results = {}
+    with SupervisedRunner(
         fn=_finishes_quickly,
         make_args=lambda k, attempt, mode: (k, attempt, mode),
         timeout=60.0,
@@ -33,12 +35,10 @@ def test_stale_preexisting_heartbeat_cannot_condemn_fresh_attempt(tmp_path):
         heartbeat_path=lambda k: heartbeat,
         heartbeat_timeout=5.0,
         heartbeat_poll=0.02,
-    )
-    reports = {1: RunReport(seed=1)}
-    results = {}
-    rebuilds, degraded = runner.run_pool(
-        [1], workers=1, reports=reports, results=results
-    )
+    ) as runner:
+        rebuilds, degraded = runner.run_pool(
+            [1], workers=1, reports=reports, results=results
+        )
     # The worker never beat (it is not wired to the file), but it ran
     # for far less than heartbeat_timeout -- the 300s-old file alone
     # must not get the pool killed.

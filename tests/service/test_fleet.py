@@ -8,7 +8,9 @@ equality is what makes the service's exactly-once result promise sound
 on top of at-least-once execution.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -46,6 +48,22 @@ def make_fleet(tmp_path, faults=None, **kwargs):
         queue, store, tmp_path / "work", faults=faults, **kwargs
     )
     return queue, store, fleet
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Every ProcessPoolExecutor the supervisor builds, in order."""
+    import repro.engine.supervise as supervise
+
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(supervise, "ProcessPoolExecutor", CountingPool)
+    return built
 
 
 def wait_for_state(queue, job_id, state, timeout=30.0):
@@ -167,20 +185,21 @@ def test_deadline_delivers_partial_under_job_key(tmp_path, fast_spec):
 
 def test_settle_tolerates_one_raced_job(tmp_path, fast_spec):
     """One job raced to a terminal state by someone else must not
-    abort the settling of its batch-mates -- their finished results
-    would otherwise be discarded and fully re-run."""
+    abort the settling of the next -- a finished result would otherwise
+    be discarded and fully re-run."""
     from repro.engine.multistart import RunReport
     from repro.service.worker import JobOutcome
 
     queue, store, fleet = make_fleet(tmp_path)
     a, _ = queue.submit(JobSpec.from_json({**fast_spec, "seed": 31}))
     b, _ = queue.submit(JobSpec.from_json({**fast_spec, "seed": 32}))
-    batch = queue.claim(2)
-    assert [j.job_id for j in batch] == [a.job_id, b.job_id]
+    claimed = queue.claim(2)
+    assert [j.job_id for j in claimed] == [a.job_id, b.job_id]
     # The race: a third party completes `a` while its worker runs.
     queue.complete(a.job_id, "raced-key")
-    results = {
-        k: JobOutcome(
+
+    def canned_run(job):
+        outcome = JobOutcome(
             job_id=job.job_id,
             completed=True,
             stop_reason=None,
@@ -188,13 +207,11 @@ def test_settle_tolerates_one_raced_job(tmp_path, fast_spec):
             checkpoints_written=0,
             result={"payload": job.job_id},
         )
-        for k, job in enumerate(batch)
-    }
-    reports = {
-        k: RunReport(seed=job.spec.seed, label=job.job_id)
-        for k, job in enumerate(batch)
-    }
-    fleet._settle_batch(batch, results, reports)
+        return outcome, RunReport(seed=job.spec.seed, label=job.job_id)
+
+    fleet._run = canned_run
+    for job in claimed:  # each slot settles its own job
+        fleet._dispatch(job)
     # `a` stays as the race left it; `b`'s result still landed.
     assert queue.get(a.job_id).result_key == "raced-key"
     final_b = queue.get(b.job_id)
@@ -256,3 +273,81 @@ def test_degraded_fleet_latches_sequential_and_still_finishes(
     assert store.get(final.result_key) == direct_result(spec)
     counters = metrics.snapshot()["counters"]
     assert counters["service_degraded"] == 1
+
+
+def test_one_pool_serves_every_job_and_drain_reaps_it(
+    tmp_path, fast_spec, pools_built
+):
+    """Jobs share one long-lived pool instead of forking one per
+    dispatch, and the drain leaves no worker process behind."""
+    queue, store, fleet = make_fleet(tmp_path, workers=2)
+    jobs = [
+        queue.submit(JobSpec.from_json({**fast_spec, "seed": s}))[0]
+        for s in range(1, 6)
+    ]
+    fleet.start()
+    try:
+        assert fleet.wait_idle(timeout=120)
+    finally:
+        fleet.drain(timeout=30)
+    assert [queue.get(j.job_id).state for j in jobs] == ["done"] * 5
+    assert len(pools_built) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_short_jobs_overtake_a_long_one(tmp_path, fast_spec):
+    """No batch barrier: while one slot runs a long job, the other
+    keeps claiming and finishing short ones."""
+    long_spec = JobSpec.from_json(
+        {**fast_spec, "max_steps": 400, "moves_per_temperature": 200}
+    )
+    queue, store, fleet = make_fleet(tmp_path, workers=2)
+    long_job, _ = queue.submit(long_spec)
+    shorts = [
+        queue.submit(JobSpec.from_json({**fast_spec, "seed": s}))[0]
+        for s in (2, 3, 4)
+    ]
+    fleet.start()
+    try:
+        for job in shorts:
+            assert wait_for_state(queue, job.job_id, "done", timeout=120)
+        assert queue.get(long_job.job_id).state == "running"
+    finally:
+        fleet.drain(timeout=30)
+
+
+def test_hang_charges_only_the_hung_job(tmp_path, fast_spec, pools_built):
+    """A hung worker costs the shared pool once; the hung job alone is
+    charged, and its pool-mate (killed along with it, or not) finishes
+    with a clean ledger and the uninterrupted run's exact result."""
+    mate_spec = JobSpec.from_json(
+        {
+            **fast_spec,
+            "seed": 42,
+            "max_steps": 400,
+            "moves_per_temperature": 100,
+        }
+    )
+    queue, store, fleet = make_fleet(
+        tmp_path,
+        workers=2,
+        heartbeat_timeout=2.0,
+        faults={"j000001": FaultSpec(kind="hang", attempt=0, mode="pool")},
+    )
+    hung, _ = queue.submit(JobSpec.from_json({**fast_spec, "seed": 41}))
+    fleet.start()
+    try:
+        assert wait_for_state(queue, hung.job_id, "running")
+        mate, _ = queue.submit(mate_spec)
+        assert fleet.wait_idle(timeout=120)
+    finally:
+        fleet.drain(timeout=30)
+    final_hung = queue.get(hung.job_id)
+    final_mate = queue.get(mate.job_id)
+    assert final_hung.state == "done", final_hung.error
+    assert [f["kind"] for f in final_hung.report["failures"]] == ["timeout"]
+    assert final_mate.state == "done", final_mate.error
+    assert final_mate.report["failures"] == []
+    assert store.get(final_mate.result_key) == direct_result(mate_spec)
+    assert fleet.pool_rebuilds == 1
+    assert len(pools_built) == 2  # the first pool and its one rebuild

@@ -285,3 +285,60 @@ def test_legacy_backend_field_other_than_numpy_is_refused(fast_spec):
     for name in ("python", "cuda"):
         with pytest.raises(JobValidationError, match="backend"):
             make_spec(fast_spec, backend=name)
+
+
+def test_claim_journals_started_at(tmp_path, fast_spec):
+    """The claim stamps ``started_at`` so a client can split latency
+    into queue wait and run time; the stamp survives a restart."""
+    ticks = iter([10.0, 12.5, 20.0])
+    queue = JobQueue(tmp_path, now=lambda: next(ticks))
+    job, _ = queue.submit(make_spec(fast_spec))
+    assert job.status_json()["started_at"] is None
+    queue.claim(1)
+    queue.complete(job.job_id, "k")
+    status = queue.get(job.job_id).status_json()
+    assert (status["submitted_at"], status["started_at"]) == (10.0, 12.5)
+    assert status["finished_at"] == 20.0
+    revived = JobQueue(tmp_path)
+    assert revived.get(job.job_id).started_at == 12.5
+
+
+def test_records_without_started_at_replay(tmp_path, fast_spec):
+    """Snapshots and journals written before ``started_at`` existed
+    carry no such field anywhere; they must still replay."""
+    from repro.service.journal import (
+        JournalRecord,
+        encode_record,
+        load_snapshot,
+        write_snapshot,
+    )
+
+    queue = JobQueue(tmp_path)
+    old, _ = queue.submit(make_spec(fast_spec, seed=1))
+    queue.claim(1)
+    queue.complete(old.job_id, "k")
+    queue.compact()  # `old` now lives in the snapshot
+    new, _ = queue.submit(make_spec(fast_spec, seed=2))
+    queue.claim(1)  # ... and `new` in the journal, running
+    del queue
+
+    applied_seq, state = load_snapshot(tmp_path / "snapshot.json")
+    for job_data in state["jobs"]:
+        del job_data["started_at"]
+    write_snapshot(
+        tmp_path / "snapshot.json", applied_seq=applied_seq, payload=state
+    )
+    records, _ = replay_journal(tmp_path / "journal.jsonl")
+    assert [r.op for r in records] == ["submit", "transition"]
+    del records[0].data["started_at"]
+    del records[1].data["started_at"]
+    (tmp_path / "journal.jsonl").write_text(
+        "".join(encode_record(r) for r in records)
+    )
+
+    revived = JobQueue(tmp_path)
+    assert revived.replay_discarded == 0
+    assert revived.get(old.job_id).state == "done"
+    assert revived.get(old.job_id).started_at is None
+    assert revived.get(new.job_id).state == "queued"  # recovered
+    assert revived.get(new.job_id).started_at is None
