@@ -345,6 +345,10 @@ def _load_circuit(spec: str) -> Netlist:
 
 def _grid_size_for(netlist: Netlist, override: Optional[float]) -> float:
     if override is not None:
+        if not override > 0:
+            raise SystemExit(
+                f"error: --grid-size must be positive, got {override:g}"
+            )
         return override
     try:
         return circuit_config(netlist.name).ir_grid_size

@@ -15,14 +15,20 @@ Layers, bottom-up:
 * :mod:`repro.congestion.approx` -- the constant-time normal
   approximation (Theorem 1) with Simpson integration and the Section 4.5
   domain guards;
+* :mod:`repro.congestion.vectorized` / :mod:`repro.congestion.batched`
+  -- the numpy kernels: per-net matrices (the exact loop and the test
+  oracle) and the whole-floorplan Theorem-1 batch with its per-net
+  memo (the hot path);
+* :mod:`repro.congestion.ledger` -- the committed-grid snapshot behind
+  O(dirty) re-estimation;
 * :mod:`repro.congestion.model` -- the full Irregular-Grid congestion
-  model (Algorithm of Section 4.6);
+  model (Algorithm of Section 4.6), whose entry points (net objects,
+  edge arrays, ledger deltas, densities) all share one mass path;
 * :mod:`repro.congestion.judging` -- the fine-pitch judging wrapper used
   by every experiment.
 """
 
 from repro.congestion.base import CongestionCell, CongestionMap, CongestionModel
-from repro.congestion.cache import BoundedCache, CacheContext, CacheStats
 from repro.congestion.routes import (
     total_routes,
     route_count_from_p1,
@@ -54,9 +60,6 @@ __all__ = [
     "CongestionCell",
     "CongestionMap",
     "CongestionModel",
-    "BoundedCache",
-    "CacheContext",
-    "CacheStats",
     "total_routes",
     "route_count_from_p1",
     "route_count_to_p2",

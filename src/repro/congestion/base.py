@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.metrics.stats import (
     area_weighted_top_fraction_mean,
     top_fraction_mean,
 )
-from repro.netlist import TwoPinArrays, TwoPinNet
+from repro.netlist import TwoPinArrays, TwoPinNet, arrays_to_nets
 
 __all__ = ["CongestionCell", "CongestionMap", "CongestionModel"]
 
@@ -124,16 +124,7 @@ class CongestionModel(abc.ABC):
         objects entirely (the annealing hot path calls it thousands of
         times per run).
         """
-        nets = [
-            TwoPinNet(
-                name=f"e{k}",
-                p1=Point(float(arr.p1x[k]), float(arr.p1y[k])),
-                p2=Point(float(arr.p2x[k]), float(arr.p2y[k])),
-                weight=float(arr.weights[k]),
-            )
-            for k in range(len(arr))
-        ]
-        return self.estimate(chip, nets)
+        return self.estimate(chip, arrays_to_nets(arr))
 
     def estimate_arrays_ledger(
         self, chip: Rect, arr: TwoPinArrays, ledger=None, dirty=None, old=None

@@ -8,8 +8,15 @@ vectors and evaluates all Theorem-1 Simpson integrals in one chunked
 pass -- a constant number of numpy operations per 4096 integrals, on
 per-thread scratch buffers reused across calls.
 
-On top of the batch kernel sits a per-net memo (see
-:mod:`repro.congestion.cache`): a net's probability block depends only
+:func:`batched_approx_mass_arrays` is the one mass kernel:
+:class:`~repro.congestion.model.IrregularGridModel` routes every
+approximate evaluation through it, and :func:`batched_approx_mass` only
+unpacks net objects for callers that hold them (hotspot attribution,
+tests).
+
+On top of the batch kernel sits a per-net memo (a
+:class:`~repro.perf.BoundedCache` from the caller's
+:class:`~repro.perf.CacheContext`): a net's probability block depends only
 on its *local signature* -- net type, unit-grid dimensions ``(g1, g2)``
 and the unit-grid offsets of the cut lines crossing its snapped routing
 range -- which is exactly the information Formula 3 / Theorem 1
@@ -48,7 +55,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.congestion.cache import BoundedCache
 from repro.congestion.exact_ir import exact_ir_probability
 from repro.congestion.irgrid import IRGrid
 from repro.netlist import (
@@ -58,6 +64,7 @@ from repro.netlist import (
     classify_edges,
     nets_to_arrays,
 )
+from repro.perf import BoundedCache
 
 __all__ = [
     "batched_approx_mass",
@@ -79,41 +86,6 @@ class EdgeContributions(NamedTuple):
 
     cells: np.ndarray
     values: np.ndarray
-
-
-def _exact_cached(
-    cache: Optional[BoundedCache],
-    g1: int,
-    g2: int,
-    x1: int,
-    x2: int,
-    y1: int,
-    y2: int,
-) -> float:
-    """Formula 3 in the canonical frame, memoized in the caller's
-    exact-probability store.
-
-    Inputs are *type-I-frame* spans (the batch kernel mirrors type II
-    nets before falling back here).  Formula 3 is symmetric under
-    transposing the grid -- ``P(g1, g2, x, y) == P(g2, g1, y, x)`` --
-    so arguments are put into a canonical orientation before keying
-    *and* evaluating: mirror-equivalent and transpose-equivalent cells
-    share one cache entry (the same small configurations recur
-    constantly across an annealing run, and an ami33-scale run's hit
-    rate roughly doubles), and because evaluation itself happens in the
-    canonical frame, cached and uncached calls agree bit-for-bit.
-    ``cache=None`` computes directly."""
-    if g2 < g1 or (g2 == g1 and (y1 < x1 or (y1 == x1 and y2 < x2))):
-        g1, g2 = g2, g1
-        x1, x2, y1, y2 = y1, y2, x1, x2
-    if cache is None:
-        return exact_ir_probability(g1, g2, NetType.TYPE_I, x1, x2, y1, y2)
-    key = (g1, g2, x1, x2, y1, y2)
-    value = cache.get(key)
-    if value is None:
-        value = exact_ir_probability(g1, g2, NetType.TYPE_I, x1, x2, y1, y2)
-        cache.put(key, value)
-    return value
 
 
 def _nearest_indices(lines: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -265,13 +237,16 @@ def _exact_fallback(
 ) -> None:
     """Batched exact Formula-3 fallback for the cells in ``fb``.
 
-    Canonicalizes every cell's frame in one vectorized pass (the same
-    transpose symmetry :func:`_exact_cached` applies scalar-wise), then
-    resolves all keys through one ``get_many`` and computes only the
-    misses -- deduplicated within the batch, so a configuration that
-    appears on several cells of one evaluation is evaluated once.
-    Values are identical to the scalar per-cell path: evaluation always
-    happens in the canonical frame.
+    Inputs are *type-I-frame* spans (the batch kernel mirrors type II
+    nets first).  Formula 3 is symmetric under transposing the grid --
+    ``P(g1, g2, x, y) == P(g2, g1, y, x)`` -- so every cell's frame is
+    put into a canonical orientation in one vectorized pass before
+    keying *and* evaluating: mirror- and transpose-equivalent cells
+    share one cache entry, and cached and uncached calls agree
+    bit-for-bit.  All keys resolve through one ``get_many`` and only
+    the misses are computed -- deduplicated within the batch, so a
+    configuration that appears on several cells of one evaluation is
+    evaluated once.
     """
     fg1 = gg1[fb].astype(np.int64)
     fg2 = gg2[fb].astype(np.int64)
@@ -805,14 +780,8 @@ def batched_approx_mass(
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
 ) -> np.ndarray:
-    """Congestion mass per IR-cell, shape ``(n_columns, n_rows)``.
-
-    ``cache`` memoizes per-net probability blocks by local signature
-    and ``exact_cache`` the scalar Formula-3 fallback cells; both come
-    from the caller's :class:`~repro.perf.context.CacheContext`.
-    ``None`` forces the pure batch path (identical results -- cached
-    blocks are bit-for-bit the kernel's output for the same signature).
-    """
+    """:func:`batched_approx_mass_arrays` over :class:`TwoPinNet`
+    objects (unpacked with :func:`~repro.netlist.nets_to_arrays`)."""
     if not nets:
         return np.zeros((irgrid.n_columns, irgrid.n_rows))
     return batched_approx_mass_arrays(
@@ -835,11 +804,14 @@ def batched_approx_mass_arrays(
     cache: Optional[BoundedCache] = None,
     exact_cache: Optional[BoundedCache] = None,
 ):
-    """:func:`batched_approx_mass` over a :class:`TwoPinArrays` batch.
+    """Congestion mass per IR-cell, shape ``(n_columns, n_rows)``.
 
-    The annealer's fast lane: endpoint arrays go straight into the
-    batch kernel with no per-net attribute reads.  Identical output
-    to the net-object entry point for the same edge geometry.
+    Endpoint arrays go straight into the batch kernel with no per-net
+    attribute reads.  ``cache`` memoizes per-net probability blocks by
+    local signature and ``exact_cache`` the Formula-3 fallback cells;
+    both come from the caller's :class:`~repro.perf.CacheContext`.
+    ``None`` forces the pure batch path (identical results -- cached
+    blocks are bit-for-bit the kernel's output for the same signature).
     """
     mass = np.zeros((irgrid.n_columns, irgrid.n_rows))
     if not len(arr):

@@ -16,10 +16,15 @@ Given a chip and its placed 2-pin nets, the model:
 4. scores the floorplan as the area-weighted average density of the top
    10 % most congested area units (step 5).
 
-The per-net math runs through the numpy kernels in
-:mod:`repro.congestion.vectorized`; the scalar reference formulas in
-:mod:`repro.congestion.exact_ir` / :mod:`repro.congestion.approx` remain
-the ground truth the kernels are tested against.
+Steps 1-3 run through one private method, whatever the entry point:
+net objects are unpacked into :class:`~repro.netlist.TwoPinArrays`
+first, the cut lines come from
+:func:`~repro.congestion.irgrid.build_irgrid_arrays`, and the mass from
+the batched Theorem-1 kernel of :mod:`repro.congestion.batched` (or the
+per-net Formula-3 loop for ``method="exact"``).  The scalar reference
+formulas in :mod:`repro.congestion.exact_ir` /
+:mod:`repro.congestion.approx` remain the ground truth the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -30,37 +35,27 @@ import numpy as np
 
 from repro.congestion.base import CongestionCell, CongestionMap, CongestionModel
 from repro.congestion.batched import (
-    batched_approx_mass,
     batched_approx_mass_arrays,
     batched_edge_contributions,
 )
-from repro.congestion.cache import CacheContext
 from repro.congestion.ledger import CongestionLedger
 from repro.congestion.exact_ir import exact_ir_probability
-from repro.congestion.irgrid import IRGrid, build_irgrid, build_irgrid_arrays
+from repro.congestion.irgrid import IRGrid, build_irgrid_arrays
 from repro.congestion.vectorized import approx_ir_matrix, exact_ir_matrix
-from repro.geometry import Point, Rect
-from repro.netlist import NetType, TwoPinNet
+from repro.geometry import Rect
+from repro.netlist import (
+    NetType,
+    TwoPinArrays,
+    TwoPinNet,
+    arrays_to_nets,
+    nets_to_arrays,
+)
 from repro.obs.metrics import NULL_METRICS
+from repro.perf import CacheContext
 
 __all__ = ["IrregularGridModel"]
 
 _METHODS = ("approx", "exact")
-
-
-def _nets_from_arrays(arr) -> List[TwoPinNet]:
-    """Materialize :class:`TwoPinNet` objects from edge arrays (the
-    exact-rescue path only -- the hot path never builds objects)."""
-    p1x, p1y, p2x, p2y, weights = arr
-    return [
-        TwoPinNet(
-            name=f"edge{k}",
-            p1=Point(float(p1x[k]), float(p1y[k])),
-            p2=Point(float(p2x[k]), float(p2y[k])),
-            weight=float(weights[k]),
-        )
-        for k in range(len(p1x))
-    ]
 
 
 class IrregularGridModel(CongestionModel):
@@ -79,7 +74,8 @@ class IrregularGridModel(CongestionModel):
         ``"approx"`` (Theorem 1 + exact fallback; the paper's model) or
         ``"exact"`` (Formula 3 everywhere via prefix sums).
     panels:
-        Simpson panels per integral for the approximation.
+        Simpson panels per integral for the approximation (a positive
+        even integer).
     paper_bounds:
         Integrate over the paper's literal ``[x1, x2]`` bounds instead
         of the midpoint-corrected ``[x1-1/2, x2+1/2]``.
@@ -131,6 +127,10 @@ class IrregularGridModel(CongestionModel):
             raise ValueError(f"grid_size must be positive, got {grid_size}")
         if method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+        if panels <= 0 or panels % 2:
+            raise ValueError(
+                f"panels must be a positive even integer, got {panels}"
+            )
         if not 0.0 < top_fraction <= 1.0:
             raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
         if ledger_refresh < 1:
@@ -175,12 +175,7 @@ class IrregularGridModel(CongestionModel):
     ) -> Tuple[CongestionMap, IRGrid]:
         """Like :meth:`evaluate`, also returning the IR-grid (Experiment
         3 reports its cell count)."""
-        with self.perf.timeit("congestion.irgrid_build"):
-            irgrid = build_irgrid(
-                chip, nets, self.grid_size, self.merge_factor
-            )
-        with self.perf.timeit("congestion.mass_eval"):
-            mass = self._mass_array(irgrid, nets)
+        irgrid, mass, _ = self._mass(chip, nets_to_arrays(nets))
         cells = [
             CongestionCell(rect, float(mass[i, j]))
             for i, j, rect in irgrid.cells()
@@ -193,49 +188,20 @@ class IrregularGridModel(CongestionModel):
         return congestion_map.top_density_score(self.top_fraction)
 
     def estimate(self, chip: Rect, nets: Sequence[TwoPinNet]) -> float:
-        """Scalar congestion cost without materializing cell objects.
-
-        Computes the mass array and scores it directly from the
-        cut-line geometry (identical result to ``score(evaluate(...))``,
-        covered by tests).
-        """
-        with self.perf.timeit("congestion.irgrid_build"):
-            irgrid = build_irgrid(
-                chip, nets, self.grid_size, self.merge_factor
-            )
-        with self.perf.timeit("congestion.mass_eval"):
-            mass = self._mass_array(irgrid, nets)
-        return self._score_mass(irgrid, mass)
+        """Scalar congestion cost without materializing cell objects:
+        :meth:`estimate_arrays` over the nets' coordinate arrays
+        (identical result to ``score(evaluate(...))``, covered by
+        tests)."""
+        return self.estimate_arrays(chip, nets_to_arrays(nets))
 
     def estimate_arrays(self, chip: Rect, arr) -> float:
         """Scalar congestion cost straight from edge coordinate arrays.
 
-        The annealing hot path: no :class:`TwoPinNet` objects are read
-        or built anywhere downstream -- the IR-grid and the batched
-        probability kernel consume the arrays directly.  Identical
-        result to :meth:`estimate` over the same edge geometry; the
-        ``"exact"`` method has no array kernel and falls back to the
-        generic object-materializing implementation.
+        Scores the mass array directly from the cut-line geometry; no
+        :class:`TwoPinNet` or cell object is built on the approximate
+        path.
         """
-        if self.method != "approx":
-            return super().estimate_arrays(chip, arr)
-        with self.perf.timeit("congestion.irgrid_build"):
-            irgrid = build_irgrid_arrays(
-                chip, arr, self.grid_size, self.merge_factor
-            )
-        ctx = self._context()
-        with self.perf.timeit("congestion.mass_eval"):
-            mass = batched_approx_mass_arrays(
-                irgrid,
-                arr,
-                self.grid_size,
-                panels=self.panels,
-                paper_bounds=self.paper_bounds,
-                cache=ctx.net_mass if ctx else None,
-                exact_cache=ctx.exact_prob if ctx else None,
-            )
-            if not np.isfinite(mass).all():
-                mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
+        irgrid, mass, _ = self._mass(chip, arr)
         return self._score_mass(irgrid, mass)
 
     def estimate_arrays_ledger(
@@ -255,26 +221,18 @@ class IrregularGridModel(CongestionModel):
         ``committed_mass - old blocks + new blocks`` over only the
         dirty edges, both framed against the same grid -- O(dirty),
         counted as ``congestion_delta``/``ledger_hits``.  Otherwise the
-        full batch runs and records a fresh ledger
-        (``congestion_grid_rebuilt``).  Returns ``(score, new_ledger)``;
-        the committed ledger is never mutated, so a rejected candidate
-        rolls back by dropping the returned one.
+        full batch runs and, when the Theorem-1 kernel produced its
+        mass, records a fresh ledger (``congestion_grid_rebuilt``).
+        Returns ``(score, new_ledger)``; the committed ledger is never
+        mutated, so a rejected candidate rolls back by dropping the
+        returned one.
         """
-        if self.method != "approx":
-            return super().estimate_arrays(chip, arr), None
         with self.perf.timeit("congestion.irgrid_build"):
             irgrid = build_irgrid_arrays(
                 chip, arr, self.grid_size, self.merge_factor
             )
         x_lines = np.asarray(irgrid.x_lines.lines)
         y_lines = np.asarray(irgrid.y_lines.lines)
-        ctx = self._context()
-        kernel_args = dict(
-            panels=self.panels,
-            paper_bounds=self.paper_bounds,
-            cache=ctx.net_mass if ctx else None,
-            exact_cache=ctx.exact_prob if ctx else None,
-        )
         if (
             self.use_ledger
             and ledger is not None
@@ -285,6 +243,7 @@ class IrregularGridModel(CongestionModel):
         ):
             self.perf.count("ledger_hits")
             with self.perf.timeit("congestion.mass_eval"):
+                kernel_args = self._kernel_args()
                 fresh = batched_edge_contributions(
                     irgrid, arr, self.grid_size, rows=dirty, **kernel_args
                 )
@@ -305,15 +264,10 @@ class IrregularGridModel(CongestionModel):
             # Non-finite dirty contributions: fall through to the full
             # batch, whose exact rescue knows how to recover.
         self.perf.count("congestion_grid_rebuilt")
-        with self.perf.timeit("congestion.mass_eval"):
-            mass = batched_approx_mass_arrays(
-                irgrid, arr, self.grid_size, **kernel_args
-            )
-            new_ledger = None
-            if not np.isfinite(mass).all():
-                mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
-            elif self.use_ledger:
-                new_ledger = CongestionLedger(x_lines, y_lines, mass)
+        _, mass, kernel_mass = self._mass(chip, arr, irgrid)
+        new_ledger = None
+        if kernel_mass and self.use_ledger:
+            new_ledger = CongestionLedger(x_lines, y_lines, mass)
         return self._score_mass(irgrid, mass), new_ledger
 
     def densities_arrays(self, chip: Rect, arr) -> np.ndarray:
@@ -326,29 +280,9 @@ class IrregularGridModel(CongestionModel):
         memo caches the walk itself populates, so a cache-warm snapshot
         costs one batched mass call plus the IR-grid build.  Values
         match :meth:`evaluate`'s ``CongestionMap.densities()`` over the
-        same edge geometry; the ``"exact"`` method falls back to exactly
-        that path.
+        same edge geometry.
         """
-        if self.method != "approx":
-            congestion_map = self.evaluate(chip, _nets_from_arrays(arr))
-            return np.asarray(congestion_map.densities())
-        with self.perf.timeit("congestion.irgrid_build"):
-            irgrid = build_irgrid_arrays(
-                chip, arr, self.grid_size, self.merge_factor
-            )
-        ctx = self._context()
-        with self.perf.timeit("congestion.mass_eval"):
-            mass = batched_approx_mass_arrays(
-                irgrid,
-                arr,
-                self.grid_size,
-                panels=self.panels,
-                paper_bounds=self.paper_bounds,
-                cache=ctx.net_mass if ctx else None,
-                exact_cache=ctx.exact_prob if ctx else None,
-            )
-            if not np.isfinite(mass).all():
-                mass = self._exact_rescue(irgrid, _nets_from_arrays(arr))
+        irgrid, mass, _ = self._mass(chip, arr)
         density, _ = self._densities(irgrid, mass)
         return density
 
@@ -449,30 +383,50 @@ class IrregularGridModel(CongestionModel):
 
     # -- internals -----------------------------------------------------
 
-    def _mass_array(self, irgrid: IRGrid, nets: Sequence[TwoPinNet]) -> np.ndarray:
-        """Congestion mass per IR-cell, shape ``(n_columns, n_rows)``."""
-        if self.method == "approx":
-            ctx = self._context()
-            mass = batched_approx_mass(
-                irgrid,
-                nets,
-                self.grid_size,
-                panels=self.panels,
-                paper_bounds=self.paper_bounds,
-                cache=ctx.net_mass if ctx else None,
-                exact_cache=ctx.exact_prob if ctx else None,
+    def _kernel_args(self) -> dict:
+        """Keyword arguments of the batched Theorem-1 kernels."""
+        ctx = self._context()
+        return dict(
+            panels=self.panels,
+            paper_bounds=self.paper_bounds,
+            cache=ctx.net_mass if ctx else None,
+            exact_cache=ctx.exact_prob if ctx else None,
+        )
+
+    def _mass(
+        self, chip: Rect, arr: TwoPinArrays, irgrid: Optional[IRGrid] = None
+    ) -> Tuple[IRGrid, np.ndarray, bool]:
+        """Algorithm steps 1-3: the IR-grid and its mass array.
+
+        The one mass evaluation behind every public entry point.
+        Builds the merged cut lines of ``arr`` over ``chip`` (unless
+        ``irgrid`` is given), then fills the ``(n_columns, n_rows)``
+        mass array: the batched Theorem-1 kernel for ``"approx"``, with
+        the exact rescue behind it, or the per-net Formula-3 loop for
+        ``"exact"``.  Returns ``(irgrid, mass, kernel_mass)``, where
+        ``kernel_mass`` is true when the approximate kernel's own
+        (finite) output is the mass -- the only mass a ledger may be
+        recorded over.
+        """
+        if irgrid is None:
+            with self.perf.timeit("congestion.irgrid_build"):
+                irgrid = build_irgrid_arrays(
+                    chip, arr, self.grid_size, self.merge_factor
+                )
+        with self.perf.timeit("congestion.mass_eval"):
+            if self.method == "exact":
+                mass = np.zeros((irgrid.n_columns, irgrid.n_rows))
+                for net in arrays_to_nets(arr):
+                    self._add_net(irgrid, net, mass)
+                return irgrid, mass, False
+            mass = batched_approx_mass_arrays(
+                irgrid, arr, self.grid_size, **self._kernel_args()
             )
             if not np.isfinite(mass).all():
-                mass = self._exact_rescue(irgrid, nets)
-            return mass
-        mass = np.zeros((irgrid.n_columns, irgrid.n_rows))
-        for net in nets:
-            self._add_net(irgrid, net, mass)
-        return mass
+                return irgrid, self._exact_rescue(irgrid, arr), False
+        return irgrid, mass, True
 
-    def _exact_rescue(
-        self, irgrid: IRGrid, nets: Sequence[TwoPinNet]
-    ) -> np.ndarray:
+    def _exact_rescue(self, irgrid: IRGrid, arr: TwoPinArrays) -> np.ndarray:
         """Recompute a non-finite mass array with the exact model.
 
         The last line of NaN/inf defense: the cell-level guards already
@@ -493,7 +447,8 @@ class IrregularGridModel(CongestionModel):
                 top_fraction=self.top_fraction,
                 use_cache=False,
             )
-        return self._exact_twin_model._mass_array(irgrid, nets)
+        _, mass, _ = self._exact_twin_model._mass(irgrid.chip, arr, irgrid)
+        return mass
 
     def _add_net(
         self,

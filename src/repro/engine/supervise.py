@@ -54,9 +54,18 @@ import weakref
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = ["SupervisedRunner"]
+
+# Seconds between checks of a running job's heartbeat file while the
+# pool harvest polls (only with ``heartbeat_timeout``); read at harvest
+# time, so tests can shorten it.
+HEARTBEAT_POLL = 0.05
+
+# Seed of every runner's backoff-jitter RNG, so each runner is
+# deterministic.
+_JITTER_SEED = 0
 
 
 class _HeartbeatStalled(RuntimeError):
@@ -87,14 +96,10 @@ class SupervisedRunner:
     retry_jitter:
         Fractional jitter on each backoff sleep: the delay is
         multiplied by ``1 + retry_jitter * u`` with ``u`` drawn from a
-        runner-owned seeded RNG (``jitter_seed``), so a fleet of
-        runners retrying the same incident fans out instead of
-        thundering back in lockstep -- while any single runner remains
-        fully deterministic.  0 (the default) keeps the historical
-        exact-exponential behavior.
-    jitter_seed:
-        Seed of the jitter RNG (only consulted when
-        ``retry_jitter > 0``).
+        runner-owned RNG under a fixed seed, so a runner's successive
+        retries spread out while the runner stays fully deterministic.
+        0 (the default) keeps the historical exact-exponential
+        behavior.
     heartbeat_path:
         ``key -> path`` of the job's heartbeat file (or ``None`` for
         keys without one).  When set together with
@@ -129,10 +134,8 @@ class SupervisedRunner:
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         retry_jitter: float = 0.0,
-        jitter_seed: int = 0,
         heartbeat_path: Optional[Callable[[int], object]] = None,
         heartbeat_timeout: Optional[float] = None,
-        heartbeat_poll: float = 0.05,
         max_pool_rebuilds: int = 2,
         observer=None,
     ):
@@ -152,10 +155,6 @@ class SupervisedRunner:
             raise ValueError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        if heartbeat_poll <= 0:
-            raise ValueError(
-                f"heartbeat_poll must be positive, got {heartbeat_poll}"
-            )
         if max_pool_rebuilds < 0:
             raise ValueError(
                 f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
@@ -166,10 +165,9 @@ class SupervisedRunner:
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
         self.retry_jitter = float(retry_jitter)
-        self._jitter_rng = random.Random(jitter_seed)
+        self._jitter_rng = random.Random(_JITTER_SEED)
         self.heartbeat_path = heartbeat_path
         self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_poll = float(heartbeat_poll)
         self.max_pool_rebuilds = int(max_pool_rebuilds)
         self.observer = observer
         self.pool_rebuilds = 0
@@ -232,7 +230,7 @@ class SupervisedRunner:
         running_since: Optional[float] = None
         while True:
             try:
-                return fut.result(timeout=self.heartbeat_poll)
+                return fut.result(timeout=HEARTBEAT_POLL)
             except _FuturesTimeout:
                 pass
             if deadline is not None and time.monotonic() >= deadline:

@@ -26,6 +26,7 @@ from repro.netlist.decompose import (
 )
 from repro.netlist.edge_arrays import (
     TwoPinArrays,
+    arrays_to_nets,
     classify_edges,
     nets_to_arrays,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "soften",
     "TwoPinArrays",
     "nets_to_arrays",
+    "arrays_to_nets",
     "classify_edges",
     "batched_mst_edges",
     "decompose_to_two_pin",

@@ -13,13 +13,19 @@ so producers can fill the arrays straight from pin coordinates.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry import Point
 from repro.netlist.net import TwoPinNet
 
-__all__ = ["TwoPinArrays", "nets_to_arrays", "classify_edges"]
+__all__ = [
+    "TwoPinArrays",
+    "nets_to_arrays",
+    "arrays_to_nets",
+    "classify_edges",
+]
 
 
 class TwoPinArrays(NamedTuple):
@@ -56,6 +62,22 @@ def nets_to_arrays(nets: Sequence[TwoPinNet]) -> TwoPinArrays:
         p2y[k] = p2.y
         weights[k] = net.weight
     return TwoPinArrays(p1x, p1y, p2x, p2y, weights)
+
+
+def arrays_to_nets(arr: TwoPinArrays) -> List[TwoPinNet]:
+    """Materialize anonymous :class:`TwoPinNet` objects (``e0``,
+    ``e1``, ...) from a :class:`TwoPinArrays`, for consumers that only
+    read net objects (the exact Formula-3 loop, models without an
+    array kernel).  The hot path never calls this."""
+    return [
+        TwoPinNet(
+            name=f"e{k}",
+            p1=Point(float(arr.p1x[k]), float(arr.p1y[k])),
+            p2=Point(float(arr.p2x[k]), float(arr.p2y[k])),
+            weight=float(arr.weights[k]),
+        )
+        for k in range(len(arr))
+    ]
 
 
 def classify_edges(arr: TwoPinArrays) -> Tuple[np.ndarray, np.ndarray]:

@@ -110,9 +110,8 @@ class CacheContext:
         Interned slicing-subtree shape lists
         (:mod:`repro.floorplan.slicing`).
 
-    Additional caches may be attached with :meth:`register`; every
-    registered cache shows up in :meth:`stats` and :meth:`report`, so
-    cache memory stays accountable per engine.
+    Every cache shows up in :meth:`stats` and :meth:`report`, so cache
+    memory stays accountable per engine.
     """
 
     def __init__(
@@ -135,38 +134,11 @@ class CacheContext:
             "subtree_shapes": self.subtree_shapes,
         }
 
-    # -- registry ------------------------------------------------------
-
-    def register(self, name: str, cache: BoundedCache) -> BoundedCache:
-        """Attach an additional cache under ``name`` and return it."""
-        if name in self._caches:
-            raise ValueError(f"cache name {name!r} already registered")
-        self._caches[name] = cache
-        return cache
-
-    @property
-    def caches(self) -> Dict[str, BoundedCache]:
-        """Name -> cache mapping (a copy; mutate via :meth:`register`)."""
-        return dict(self._caches)
-
     # -- accounting ----------------------------------------------------
 
     def stats(self) -> Dict[str, CacheStats]:
         """Point-in-time stats of every cache, keyed by name."""
         return {name: c.stats() for name, c in sorted(self._caches.items())}
-
-    def hit_rates(self) -> Dict[str, float]:
-        """Hit rate of every cache that saw at least one lookup."""
-        return {
-            name: s.hit_rate
-            for name, s in self.stats().items()
-            if s.lookups
-        }
-
-    def clear(self) -> None:
-        """Empty every cache and reset its accounting."""
-        for cache in self._caches.values():
-            cache.clear()
 
     def report(self, title: Optional[str] = None) -> str:
         """One table over all caches: hits, misses, size, evictions."""

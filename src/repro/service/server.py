@@ -50,6 +50,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import MetricsRegistry
+from repro.perf import CacheContext
 from repro.service.fleet import ServiceFleet
 from repro.service.jobs import JobSpec
 from repro.service.queue import JobQueue
@@ -144,7 +145,17 @@ class FloorplanService:
     def submit_job(self, body: Dict[str, Any]) -> Dict[str, Any]:
         """Validate, enqueue (or dedupe), and maybe cache-serve a job."""
         spec = JobSpec.from_json(body)
-        spec.build_netlist()  # malformed YAL fails the submit, not a worker
+        # Malformed YAL, an objective or a schedule the worker could
+        # not build fails the submit, not a worker: the constructors'
+        # own checks run here against the parsed netlist.
+        netlist = spec.build_netlist()
+        try:
+            spec.objective_spec().build(netlist, CacheContext())
+            spec.schedule()
+        except ValueError as exc:
+            raise JobValidationError(
+                f"bad job specification: {exc}"
+            ) from None
         with self.metrics.timeit("service_submit"):
             # The store is append-only, so a hit observed here is still
             # a hit when submit journals the job; submit() itself births

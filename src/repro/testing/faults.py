@@ -250,20 +250,20 @@ def poison_approx_mass(at_call: int = 1, value: float = float("nan")):
     """Poison one cell of the batched congestion kernel's output.
 
     Patches the ``batched_approx_mass_arrays`` reference *inside*
-    :mod:`repro.congestion.model` (plus the net-object entry point) so
-    call number ``at_call`` returns a mass array with one cell set to
-    ``value`` -- the shape of damage a broken Theorem-1 approximation
-    would do.  Yields a dict whose ``"calls"`` entry counts kernel
-    invocations and ``"poisoned"`` whether the poison fired; always
-    unpatches on exit.
+    :mod:`repro.congestion.model` -- the one kernel every IR-grid mass
+    evaluation goes through -- so call number ``at_call`` returns a
+    mass array with one cell set to ``value``: the shape of damage a
+    broken Theorem-1 approximation would do.  Yields a dict whose
+    ``"calls"`` entry counts kernel invocations and ``"poisoned"``
+    whether the poison fired; always unpatches on exit.
     """
     import repro.congestion.model as model_mod
 
-    real_arrays = model_mod.batched_approx_mass_arrays
-    real_nets = model_mod.batched_approx_mass
+    real = model_mod.batched_approx_mass_arrays
     state = {"calls": 0, "poisoned": False}
 
-    def _poison(mass):
+    def poisoned(*args, **kwargs):
+        mass = real(*args, **kwargs)
         state["calls"] += 1
         if state["calls"] == at_call and mass.size:
             mass = mass.copy()
@@ -271,16 +271,8 @@ def poison_approx_mass(at_call: int = 1, value: float = float("nan")):
             state["poisoned"] = True
         return mass
 
-    def poisoned_arrays(*args, **kwargs):
-        return _poison(real_arrays(*args, **kwargs))
-
-    def poisoned_nets(*args, **kwargs):
-        return _poison(real_nets(*args, **kwargs))
-
-    model_mod.batched_approx_mass_arrays = poisoned_arrays
-    model_mod.batched_approx_mass = poisoned_nets
+    model_mod.batched_approx_mass_arrays = poisoned
     try:
         yield state
     finally:
-        model_mod.batched_approx_mass_arrays = real_arrays
-        model_mod.batched_approx_mass = real_nets
+        model_mod.batched_approx_mass_arrays = real

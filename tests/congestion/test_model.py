@@ -25,6 +25,11 @@ class TestConstruction:
             IrregularGridModel(30.0, method="bogus")
         with pytest.raises(ValueError):
             IrregularGridModel(30.0, top_fraction=2.0)
+        # The batched Simpson pass needs an even panel count as much as
+        # the per-net reference does: refuse the others up front.
+        for panels in (3, 0, -2):
+            with pytest.raises(ValueError, match="positive even integer"):
+                IrregularGridModel(30.0, panels=panels)
 
 
 class TestSingleNetSemantics:

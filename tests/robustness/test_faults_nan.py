@@ -79,7 +79,8 @@ def test_unpoisoned_calls_untouched(placed):
         score = approx.estimate(chip, nets)
     assert not state["poisoned"]
     assert score == clean
-    assert model_mod.batched_approx_mass.__module__ == "repro.congestion.batched"
+    kernel = model_mod.batched_approx_mass_arrays
+    assert kernel.__module__ == "repro.congestion.batched"
 
 
 def test_add_net_matrix_guard_reroutes_non_finite_cells(placed):

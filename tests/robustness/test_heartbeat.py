@@ -9,6 +9,7 @@ first beat).
 import os
 import time
 
+from repro.engine import supervise
 from repro.engine.multistart import RunReport
 from repro.engine.supervise import SupervisedRunner
 
@@ -18,7 +19,10 @@ def _finishes_quickly(key, attempt, mode):
     return key * 10
 
 
-def test_stale_preexisting_heartbeat_cannot_condemn_fresh_attempt(tmp_path):
+def test_stale_preexisting_heartbeat_cannot_condemn_fresh_attempt(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(supervise, "HEARTBEAT_POLL", 0.02)
     heartbeat = tmp_path / "heartbeat"
     heartbeat.write_text("old attempt's last beat\n")
     long_ago = time.time() - 300.0
@@ -34,7 +38,6 @@ def test_stale_preexisting_heartbeat_cannot_condemn_fresh_attempt(tmp_path):
         retry_backoff=0.0,
         heartbeat_path=lambda k: heartbeat,
         heartbeat_timeout=5.0,
-        heartbeat_poll=0.02,
     ) as runner:
         rebuilds, degraded = runner.run_pool(
             [1], workers=1, reports=reports, results=results

@@ -94,6 +94,26 @@ def test_bad_spec_is_400(live, live_spec):
     assert "does not parse" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"gamma": 1.0, "congestion_grid_size": 0}, "grid_size must be"),
+        ({"alpha": 0.0, "beta": 0.0}, "at least one objective weight"),
+        ({"cooling_rate": 1.5}, "cooling_rate must be"),
+    ],
+)
+def test_unbuildable_spec_is_400(live, live_spec, fields, message):
+    # The worker could never build this objective or schedule: the
+    # submit refuses it instead of queueing a job that fails later.
+    service, client = live
+    queued = len(service.queue.list_jobs())
+    with pytest.raises(Exception) as excinfo:
+        client.submit({**live_spec, **fields})
+    assert excinfo.value.status == 400
+    assert message in str(excinfo.value)
+    assert len(service.queue.list_jobs()) == queued
+
+
 def test_non_numpy_backend_is_400(live, live_spec):
     # ``backend`` was removed from job specs; only the values old
     # journals carry (null, "numpy") are still accepted.

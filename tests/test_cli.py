@@ -89,6 +89,65 @@ class TestEstimate:
         assert "fixed-grid model" in capsys.readouterr().out
 
 
+class TestGridSizeFlag:
+    """A non-positive ``--grid-size`` ends in one ``error:`` line (exit
+    status 1), not in a traceback from the model constructors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["floorplan", "ami33", "--gamma", "1", "--grid-size", "0"],
+            ["estimate", "ami33", "--grid-size", "-5"],
+        ],
+    )
+    def test_non_positive_grid_size_exits(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = str(info.value.code)
+        assert message.startswith("error: --grid-size must be positive")
+        assert "\n" not in message
+
+
+class TestPinnedWalks:
+    """The annealer's walk, pinned end to end: with ``--gamma 1 --seed
+    3`` each representation prints exactly these ami33 metrics.  A
+    refactor that moves one digit changed the walk (or a metric)."""
+
+    @pytest.mark.parametrize(
+        "representation, expected",
+        [
+            (
+                "polish",
+                "area 1.846 mm^2, wirelength 137010 um, "
+                "congestion 0.001552, judge 2.147",
+            ),
+            (
+                "sp",
+                "area 2.218 mm^2, wirelength 120690 um, "
+                "congestion 0.0012, judge 1.742",
+            ),
+            (
+                "btree",
+                "area 1.698 mm^2, wirelength 115148 um, "
+                "congestion 0.001395, judge 2.086",
+            ),
+        ],
+    )
+    def test_result_line(self, capsys, representation, expected):
+        argv = ["floorplan", "ami33", "--gamma", "1", "--seed", "3"]
+        assert main(argv + ["--repr", representation]) == 0
+        prefix = f"ami33 [{representation}, seed 3]: "
+        lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(prefix)
+        ]
+        assert len(lines) == 1
+        # Drop the wall-clock suffix (", 2.6 s"); everything else is
+        # a pure function of the seed.
+        assert lines[0].rsplit(", ", 1)[0] == prefix + expected
+
+
 class TestFigure8:
     def test_prints_both_panels(self, capsys):
         assert main(["figure8"]) == 0
